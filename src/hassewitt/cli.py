@@ -20,10 +20,10 @@ import sys
 
 from .cohomology import BaseField, cohclass_to_json, h1, hilbert_symbol, is_zero
 from .forms import (
-    SymmetricForm,
     diagonalize,
     form_from_json,
     form_to_json,
+    matrix_from_json,
     matrix_to_json,
 )
 from .gerbe import GALOIS_GROUP, h2_census, main_example_report
@@ -83,15 +83,8 @@ def _place_arg(text: str) -> str:
 
 
 def _cmd_diag(args) -> dict:
-    form = SymmetricForm.from_rows(_expect_matrix(args.matrix))
-    transform, diagonal = diagonalize(form)
+    transform, diagonal = diagonalize(matrix_from_json(args.matrix))
     return {"transform": matrix_to_json(transform), "diagonal": form_to_json(diagonal)}
-
-
-def _expect_matrix(doc):
-    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise ValueError("matrix must be a JSON array of arrays")
-    return doc
 
 
 def _cmd_hilbert(args) -> dict:

@@ -30,9 +30,9 @@ from .rationals import (
     Place,
     Rational,
     as_rational,
-    factor,
     legendre_symbol,
     padic_valuation,
+    ramified_places,
     smallest_nonresidue,
     squarefree_part,
     unit_residue,
@@ -238,14 +238,10 @@ def _real_invariant(c: CohClass) -> int:
 
 
 def _symbol_support(r1: int, r2: int) -> frozenset:
-    # places where (r1, r2)_v = -1; only infinity, 2 and ramified odd primes
-    # can contribute, by the tame formula
-    places = [REAL_PLACE, Place.finite(2)]
-    odd = set()
-    for r in (r1, r2):
-        odd.update(p for p in factor(r) if p != 2)
-    places.extend(Place.finite(p) for p in sorted(odd))
-    return frozenset(v for v in places if hilbert_symbol(r1, r2, v) == -1)
+    # places where (r1, r2)_v = -1
+    return frozenset(
+        v for v in ramified_places(r1, r2) if hilbert_symbol(r1, r2, v) == -1
+    )
 
 
 def cup(c1: CohClass, c2: CohClass) -> CohClass:
@@ -286,18 +282,9 @@ def add(c1: CohClass, c2: CohClass) -> CohClass:
 
 
 def reciprocity_holds(a: Rational | int | str, b: Rational | int | str) -> bool:
-    """Product of (a,b)_v over the real place, 2, and every ramified odd prime."""
-    a = as_rational(a)
-    b = as_rational(b)
-    r1 = squarefree_part(a)
-    r2 = squarefree_part(b)
-    places = [REAL_PLACE, Place.finite(2)]
-    odd = set()
-    for r in (r1, r2):
-        odd.update(p for p in factor(r) if p != 2)
-    places.extend(Place.finite(p) for p in sorted(odd))
+    """Product of (a,b)_v over the real place, 2, and every odd prime dividing a or b."""
     prod = 1
-    for v in places:
+    for v in ramified_places(a, b):
         prod *= hilbert_symbol(a, b, v)
     return prod == 1
 

@@ -68,8 +68,8 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p!r} is not a prime")
 
 
-def factor(n: int, *, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Factor |n| by trial division up to `bound`.
+def factor(n: int) -> dict[int, int]:
+    """Factor |n| by trial division up to DEFAULT_FACTOR_BOUND.
 
     Raises FactorizationLimitError when the cofactor left after trial division
     cannot be certified prime (its square root exceeds the bound). Perfect
@@ -84,7 +84,7 @@ def factor(n: int, *, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
         out[2] = out.get(2, 0) + 1
         n //= 2
     d = 3
-    while d <= bound and d * d <= n:
+    while d <= DEFAULT_FACTOR_BOUND and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -97,22 +97,22 @@ def factor(n: int, *, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
         return out
     r = math.isqrt(n)
     if r * r == n:
-        for p, e in factor(r, bound=bound).items():
+        for p, e in factor(r).items():
             out[p] = out.get(p, 0) + 2 * e
         return out
     raise FactorizationLimitError(
-        f"cofactor {n} exceeds the factorization bound {bound}"
+        f"cofactor {n} exceeds the factorization bound {DEFAULT_FACTOR_BOUND}"
     )
 
 
-def squarefree_part(q: Rational | int | str, *, bound: int = DEFAULT_FACTOR_BOUND) -> int:
+def squarefree_part(q: Rational | int | str) -> int:
     """The unique square-free integer s with q/s a square in Q. Keeps q's sign."""
     q = as_rational(q)
     if q == 0:
         raise ValueError("squarefree_part of zero is undefined")
     s = 1 if q > 0 else -1
     for part in (q.numerator, q.denominator):
-        for p, e in factor(part, bound=bound).items():
+        for p, e in factor(part).items():
             if e % 2:
                 s *= p
     return s
@@ -218,3 +218,15 @@ class Place:
 
 
 REAL_PLACE = Place.real()
+
+
+def ramified_places(*qs: Rational | int | str) -> list[Place]:
+    """The real place, 2, and every odd prime dividing a numerator or
+    denominator of some q, in that order: the only places where a Hilbert
+    symbol of the qs can be -1 (elsewhere the tame formula gives +1)."""
+    odd: set[int] = set()
+    for q in qs:
+        q = as_rational(q)
+        for part in (q.numerator, q.denominator):
+            odd.update(p for p in factor(part) if p != 2)
+    return [REAL_PLACE, Place.finite(2)] + [Place.finite(p) for p in sorted(odd)]

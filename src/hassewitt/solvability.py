@@ -17,13 +17,7 @@ import numpy as np
 from . import localsolve
 from .cohomology import hilbert_symbol, padic_class_rep
 from .forms import DiagonalForm, form_to_json, hasse_invariant
-from .rationals import (
-    REAL_PLACE,
-    Place,
-    Rational,
-    factor,
-    format_rational,
-)
+from .rationals import Place, format_rational, ramified_places
 
 DEFAULT_SEARCH_HEIGHT = 100
 
@@ -96,21 +90,10 @@ def local_oracle(form: DiagonalForm, p: int, k: int | None = None) -> bool:
     return localsolve.represents_one(form.entries, p, k)
 
 
-def ramified_odd_primes(form: DiagonalForm) -> list[int]:
-    """Odd primes dividing a numerator or denominator of some entry."""
-    out: set[int] = set()
-    for a in form.entries:
-        for part in (a.numerator, a.denominator):
-            out.update(p for p in factor(part) if p != 2)
-    return sorted(out)
-
-
 def relevant_places(form: DiagonalForm) -> list[Place]:
     """The real place, 2, and every ramified odd prime: solvability everywhere
     reduces to solvability at these (unramified odd completions come free)."""
-    return [REAL_PLACE, Place.finite(2)] + [
-        Place.finite(p) for p in ramified_odd_primes(form)
-    ]
+    return ramified_places(*form.entries)
 
 
 def solvable_over_Q(

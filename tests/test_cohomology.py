@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hassewitt.cohomology import (
@@ -128,6 +128,7 @@ def test_hilbert_steinberg(a, v):
 
 
 @given(nonzero, nonzero)
+@example(Fraction(63, 4), -5)  # 63 = 3^2 * 7: an odd prime to an even power
 @settings(max_examples=100, deadline=None)
 def test_reciprocity(a, b):
     assert reciprocity_holds(a, b)

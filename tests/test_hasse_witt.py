@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from hassewitt.cohomology import (
     BaseField,
     RATIONALS,
     REALS,
+    add,
     cup,
     h1,
     hilbert_symbol,
     is_zero,
+    zero_class,
 )
 from hassewitt.forms import DiagonalForm
 from hassewitt.hasse_witt import (
@@ -35,6 +39,28 @@ coeff = st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(
 small_forms = st.lists(coeff, min_size=1, max_size=4).map(
     lambda es: DiagonalForm(tuple(es))
 )
+
+
+def literal_vector(form, field):
+    """The definition term for term: HW_i is the sum over every i-subset of
+    entries of the cup product of their degree-1 classes."""
+    ones = [h1(a, field) for a in form.entries]
+    out = []
+    for i in range(1, form.rank + 1):
+        total = zero_class(field, i)
+        for subset in combinations(range(form.rank), i):
+            total = add(total, reduce(cup, (ones[j] for j in subset)))
+        out.append(total)
+    return tuple(out)
+
+
+@given(
+    st.lists(coeff, min_size=1, max_size=7).map(lambda es: DiagonalForm(tuple(es))),
+    fields,
+)
+@settings(max_examples=150, deadline=None)
+def test_vector_matches_literal_oracle(form, field):
+    assert hasse_witt_vector(form, field).classes == literal_vector(form, field)
 
 
 def test_vector_of_three_minus_ones_over_reals():

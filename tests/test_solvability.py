@@ -11,7 +11,6 @@ from hassewitt.solvability import (
     _first_denominator_dfs,
     _first_denominator_mitm,
     local_oracle,
-    ramified_odd_primes,
     relevant_places,
     search_point,
     solvable_over_Q,
@@ -57,10 +56,13 @@ def test_local_fixed_verdicts():
 
 def test_ramified_and_relevant_places():
     f = DiagonalForm.of("2/3", 5)
-    assert ramified_odd_primes(f) == [3, 5]
     assert [str(v) for v in relevant_places(f)] == ["inf", "2", "3", "5"]
-    assert ramified_odd_primes(DiagonalForm.of(4)) == []
+    assert relevant_places(DiagonalForm.of(4)) == [REAL_PLACE, Place.finite(2)]
     assert [str(v) for v in relevant_places(DiagonalForm.of(-1))] == ["inf", "2"]
+    # odd primes to any power count, in the numerator or the denominator
+    assert [str(v) for v in relevant_places(DiagonalForm.of("9/50", 7))] == [
+        "inf", "2", "3", "5", "7"
+    ]
 
 
 @given(int_forms.filter(lambda f: f.rank >= 2), st.sampled_from((11, 13, 17, 19)))
@@ -68,7 +70,7 @@ def test_ramified_and_relevant_places():
 def test_unramified_odd_places_never_obstruct(form, p):
     # the reduction behind relevant_places: with two or more variables the
     # extended form has three unit entries at an odd unramified prime
-    if p in ramified_odd_primes(form):
+    if Place.finite(p) in relevant_places(form):
         return
     assert solvable_over_Qp(form, p)
 
