@@ -1,8 +1,15 @@
-"""Exact rational scalars, desk-scale factorization, and residue symbols.
+"""Exact rational scalars, certified factorization, and residue symbols.
 
 Everything downstream works over Q and its completions. The scalar type is
 fractions.Fraction throughout; floats are rejected at every door so no
 approximation can leak in.
+
+Primality is the strong-probable-prime test to the first 13 prime bases,
+which is a proof below PSI_13 = 3317044064679887385961981 (Sorenson and
+Webster, Math. Comp. 2017); composites that are not small-prime multiples are
+split by Pollard's rho in Brent's form (Brent, BIT 1980) within a fixed
+iteration budget. Past either limit the answer is a FactorizationLimitError,
+never a guess.
 """
 
 from __future__ import annotations
@@ -14,11 +21,18 @@ from functools import lru_cache
 
 Rational = Fraction
 
-DEFAULT_FACTOR_BOUND = 10**6
+# the first 13 primes: the trial divisors and the Miller-Rabin bases
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# least strong pseudoprime to all 13 bases: below it, passing them proves primality
+_PSI_13 = 3317044064679887385961981
+# map iterations allowed to the whole rho search of one factor() call
+_RHO_BUDGET = 2**20
+# steps whose |x - y| are multiplied together before one gcd
+_RHO_BATCH = 128
 
 
 class FactorizationLimitError(ValueError):
-    """An integer could not be certified factored within the trial-division bound."""
+    """An integer could not be certified prime or split within the proven limits."""
 
 
 def as_rational(value: Rational | int | str) -> Rational:
@@ -46,20 +60,36 @@ def format_rational(q: Rational) -> str:
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test for desk-scale integers."""
-    if n > DEFAULT_FACTOR_BOUND**2:
-        raise FactorizationLimitError(
-            f"{n} is too large to certify prime by trial division"
-        )
+    """Deterministic Miller-Rabin: exact for every n < PSI_13.
+
+    A witness among the 13 bases proves n composite at any size; a probable
+    prime at or above PSI_13 raises FactorizationLimitError.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _PSI_13:
+        raise FactorizationLimitError(
+            f"{n} is a probable prime beyond the proven range {_PSI_13}"
+        )
     return True
 
 
@@ -69,40 +99,79 @@ def _require_prime(p: int) -> None:
 
 
 def factor(n: int) -> dict[int, int]:
-    """Factor |n| by trial division up to DEFAULT_FACTOR_BOUND.
+    """Factor |n| into {prime: exponent}, primes ascending.
 
-    Raises FactorizationLimitError when the cofactor left after trial division
-    cannot be certified prime (its square root exceeds the bound). Perfect
-    square cofactors are recursed into, since their square-free part is clean
-    regardless of how the root factors.
+    The primes up to 41 are divided out; every cofactor left is certified
+    prime by is_prime, taken through isqrt when it is a perfect square, or
+    split by Brent's rho. Raises FactorizationLimitError when a probable prime
+    is at or above PSI_13, or when the rho search spends its budget of 2**20
+    iterations without splitting a composite.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
     out: dict[int, int] = {}
-    while n % 2 == 0:
-        out[2] = out.get(2, 0) + 1
-        n //= 2
-    d = 3
-    while d <= DEFAULT_FACTOR_BOUND and d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n == 1:
-        return out
-    if d * d > n:
-        # every divisor up to sqrt(n) was tried, so n is prime
-        out[n] = out.get(n, 0) + 1
-        return out
-    r = math.isqrt(n)
-    if r * r == n:
-        for p, e in factor(r).items():
-            out[p] = out.get(p, 0) + 2 * e
-        return out
-    raise FactorizationLimitError(
-        f"cofactor {n} exceeds the factorization bound {DEFAULT_FACTOR_BOUND}"
-    )
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break  # what is left of n is 1 or a prime
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    budget = [_RHO_BUDGET]
+    pending = [(n, 1)] if n > 1 else []
+    while pending:
+        m, e = pending.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + e
+            continue
+        r = math.isqrt(m)
+        if r * r == m:
+            pending.append((r, 2 * e))
+            continue
+        d = _rho_divisor(m, budget)
+        pending += [(d, e), (m // d, e)]
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n: int, budget: list[int]) -> int:
+    """A proper divisor of the odd composite n, by Brent's cycle search on
+    x -> x^2 + c for c = 1, 2, ..., spending map iterations from budget[0]."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            _spend(budget, r, n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(_RHO_BATCH, r - k)
+                _spend(budget, steps, n)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _spend(budget: list[int], steps: int, n: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise FactorizationLimitError(
+            f"{n} not split within {_RHO_BUDGET} rho iterations"
+        )
 
 
 def squarefree_part(q: Rational | int | str) -> int:

@@ -106,6 +106,27 @@ def test_exit_code_2_on_domain_errors(capsys):
         assert err.startswith("error:")
 
 
+def test_large_factors_answer_or_refuse(capsys):
+    # a 31-digit denominator, 1000003 * 10000019 * 100000000000000003
+    doc = run_json(capsys, "solvable", "--form", '["1/1000004900005700030000147000171", 3]')
+    assert doc == {
+        "solvable": False,
+        "witness": None,
+        "failing_place": "2",
+        "checked_places": ["inf", "2"],
+    }
+    validate("solvable", doc)
+    # a prime place above 10^12
+    doc = run_json(capsys, "hilbert", "-a", "3", "-b", "5", "--place", "1000000000039")
+    assert doc == {"symbol": 1}
+    # two 16-digit primes outlast the rho budget: a domain error, not a hang
+    semiprime = str(1000000000000037 * 1000000000000091)
+    code, out, err = run(capsys, "solvable", "--form", f"[{semiprime}, 3]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "rho iterations" in err
+
+
 def test_exit_code_3_on_inconclusive(capsys, monkeypatch):
     # no default invocation is inconclusive, so force the failure mode;
     # the parser is built inside main, so the handler binds to the patch

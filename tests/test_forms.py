@@ -38,7 +38,7 @@ def symmetric_matrices(max_size=5, entries=entry):
     )
 
 
-# determinants of these stay far below the factorization bound, so the
+# determinants of these stay far inside the proven factorization range, so the
 # square-free computations in the discriminant test always complete
 small_entry = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 

@@ -1,8 +1,9 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hassewitt.rationals import (
@@ -88,17 +89,35 @@ def test_is_prime_basics():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert is_prime(1000003)
     assert not is_prime(1000003 * 3)
+    assert not is_prime(10**13 + 1)  # 11 divides it
+    # a prime above the proven range is refused, not guessed
     with pytest.raises(FactorizationLimitError):
-        is_prime(10**13 + 1)
+        is_prime(2**89 - 1)
+
+
+def test_is_prime_proven_range():
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    # a composite above the range is still decided by a witness
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
 
 
 def test_factor_certification_boundary():
     # a square of a large prime is fine: the square-free part is clean anyway
     assert factor(1000003**2) == {1000003: 2}
     assert squarefree_part(1000003**2) == 1
-    # a product of two distinct large primes cannot be certified
+    # two distinct large primes are split by rho
+    assert factor(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    # a prime cofactor above the proven range is refused
     with pytest.raises(FactorizationLimitError):
-        factor(1000003 * 1000033)
+        factor(3 * (2**89 - 1))
+    # two 16-digit primes outlast the rho budget: refused, and promptly
+    start = time.perf_counter()
+    with pytest.raises(FactorizationLimitError):
+        factor(1000000000000037 * 1000000000000091)
+    assert time.perf_counter() - start < 5
 
 
 def test_factor_fixed_values():
@@ -106,6 +125,68 @@ def test_factor_fixed_values():
     assert factor(-7) == {7: 1}
     with pytest.raises(ValueError):
         factor(0)
+
+
+TRIAL_DIVISION_BOUND = 10**6
+
+
+def trial_division_factor(n: int) -> dict[int, int]:
+    """Factor |n| by trial division up to TRIAL_DIVISION_BOUND: the literal
+    definition, and the library's factor before Miller-Rabin and rho."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    n = abs(n)
+    out: dict[int, int] = {}
+    while n % 2 == 0:
+        out[2] = out.get(2, 0) + 1
+        n //= 2
+    d = 3
+    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 2
+    if n == 1:
+        return out
+    if d * d > n:
+        # every divisor up to sqrt(n) was tried, so n is prime
+        out[n] = out.get(n, 0) + 1
+        return out
+    r = math.isqrt(n)
+    if r * r == n:
+        for p, e in trial_division_factor(r).items():
+            out[p] = out.get(p, 0) + 2 * e
+        return out
+    raise FactorizationLimitError(
+        f"cofactor {n} exceeds the factorization bound {TRIAL_DIVISION_BOUND}"
+    )
+
+
+small_factor = st.sampled_from(
+    [p for p in range(2, 10**4) if trial_division_factor(p) == {p: 1}]
+)
+# one prime below 10^8 keeps the oracle at no more than 10^4 trial divisors
+large_factor = st.integers(min_value=2, max_value=10**8 - 1).map(
+    lambda n: next(m for m in range(n, 1, -1) if is_prime(m))
+)
+
+
+@given(
+    st.lists(small_factor, max_size=4),
+    st.lists(large_factor, max_size=1),
+    st.sampled_from((1, -1)),
+)
+@example([], [], 1)
+@example([3, 3, 3, 3, 3], [], 1)
+@example([], [1000003, 1000003], 1)
+@example([2, 3], [17389, 99991], -1)
+@settings(max_examples=200)
+def test_factor_matches_trial_division(small, large, sign):
+    n = sign * math.prod(small + large)
+    expected = trial_division_factor(n)
+    got = factor(n)
+    assert got == expected
+    assert list(got) == list(expected)
 
 
 @given(nonzero_rationals)
