@@ -18,7 +18,7 @@ class DegenerateFormError(ValueError):
     """The Gram matrix is singular: no nondegenerate diagonalization exists."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagonalForm:
     """A nondegenerate diagonal quadratic form <a_1, ..., a_n>."""
 

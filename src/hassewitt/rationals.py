@@ -242,7 +242,7 @@ def smallest_nonresidue(p: int) -> int:
     return a
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class Place:
     """A place of Q: the real place (p is None) or the finite place at a prime p."""
 

@@ -27,7 +27,7 @@ _MITM_MAX_VARS = 6
 _INT64_GUARD = 2**62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolvabilityCertificate:
     """Verdict plus the evidence: which completions were checked, which one
     failed (if any), and a rational witness point when the search found one."""
@@ -152,10 +152,20 @@ def _half_values(coeffs: list[int], height: int) -> np.ndarray:
 
 
 def _first_denominator_mitm(coeffs: list[int], scale: int, height: int) -> int | None:
-    # meet in the middle: sorted right-half value table, probe per denominator
+    # meet in the middle on sorted half tables (Horowitz-Sahni). Every target
+    # scale*d^2 lies in [scale, scale*h^2], so a left value l can only meet a
+    # right value inside [scale - l, scale*h^2 - l]: keep the distinct left
+    # values whose window holds one, then probe each denominator with those
     split = len(coeffs) // 2
-    left = np.unique(_half_values(coeffs[:split], height))
+    left = np.sort(_half_values(coeffs[:split], height))
     right = np.sort(_half_values(coeffs[split:], height))
+    reach = np.searchsorted(right, scale * height * height - left, side="right")
+    reach -= np.searchsorted(right, scale - left, side="left")
+    keep = reach > 0
+    keep[1:] &= left[1:] != left[:-1]
+    left = left[keep]
+    if left.size == 0:
+        return None
     for d in range(1, height + 1):
         targets = scale * d * d - left
         idx = np.searchsorted(right, targets)

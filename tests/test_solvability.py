@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hassewitt
 from hassewitt.forms import DiagonalForm
 from hassewitt.rationals import REAL_PLACE, Place
 from hassewitt.solvability import (
+    _INT64_GUARD,
     _first_denominator_dfs,
     _first_denominator_mitm,
     local_oracle,
@@ -127,13 +132,52 @@ def test_search_results_satisfy_the_equation(form, height):
     assert all(abs(x * d) <= height for x in pt)
 
 
-@given(int_forms, st.integers(min_value=1, max_value=10))
-@settings(max_examples=120, deadline=None)
-def test_denominator_scan_routes_agree(form, height):
-    coeffs = [int(a) for a in form.entries]
-    mitm = _first_denominator_mitm(coeffs, 1, height)
-    dfs = _first_denominator_dfs(coeffs, 1, height)
+nonzero_digit = st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0)
+# targets here are at most 12 * 10^2, so these mostly leave every window empty
+huge = st.integers(min_value=10**6, max_value=10**9) | st.integers(
+    min_value=-(10**9), max_value=-(10**6)
+)
+# the largest coefficient the int64 guard lets through at height 2, rank 2
+_NEAR_GUARD = (_INT64_GUARD - 1) // (2 * 2 * 3)
+
+
+@given(
+    st.lists(nonzero_digit | huge, min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=10),
+)
+@example([-5, 2], 3, 2)  # only hit -5 + 8 = 3 * 1^2 sits on the low edge of its window
+@example([1, 7], 2, 2)  # only hit 1 + 7 = 2 * 2^2 sits on the high edge of its window
+@example([10**6, -(10**9)], 12, 10)  # no window holds a right value
+@example([10**6, 1 - 10**6], 1, 10)  # huge entries that still meet at d = 1
+@example([_NEAR_GUARD, 3 - _NEAR_GUARD], 3, 2)
+@example([_NEAR_GUARD, -_NEAR_GUARD], 2, 2)
+@settings(max_examples=200, deadline=None)
+def test_denominator_scan_routes_agree(coeffs, scale, height):
+    # the depth-first scan is the oracle for the windowed meet in the middle
+    worst = max(abs(c) for c in coeffs + [scale]) * height * height * (len(coeffs) + 1)
+    assert worst < _INT64_GUARD  # the only inputs search_point sends to MITM
+    mitm = _first_denominator_mitm(coeffs, scale, height)
+    dfs = _first_denominator_dfs(coeffs, scale, height)
     assert mitm == dfs
+
+
+def test_point_search_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma (about 1.75 MB of RSS); the search must not
+    code = (
+        "import sys\n"
+        "from hassewitt.forms import DiagonalForm\n"
+        "from hassewitt.solvability import search_point\n"
+        "search_point(DiagonalForm.of(2, 3, 5, 7), 100)\n"
+        "search_point(DiagonalForm.of(6 * 10007 * 10009, -10037 * 10039, 3, -5), 100)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hassewitt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 @given(forms)
