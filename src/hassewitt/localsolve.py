@@ -3,9 +3,12 @@
 Verdicts come from exhaustive search over residue vectors mod p^k combined
 with the lifting criterion for simple zeros: a residue solution certifies an
 exact p-adic zero once the precision exceeds twice the valuation of the
-relevant partial derivative. Nothing in here consults a symbol formula; this
-module is the independent oracle the closed-form routes are tested against,
-and the generator the 2-adic Hilbert table is built from.
+relevant partial derivative. The search runs in exact Python integers and
+keeps one table entry per orbit of Z/p^k under multiplication by unit
+squares; the orbits are found by brute force, not by a formula. Nothing in
+here consults a symbol formula; this module is the independent oracle the
+closed-form routes are tested against, and the generator the 2-adic Hilbert
+table is built from.
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .rationals import Rational, as_rational, is_prime, padic_valuation, unit_residue
 
-# Exhaustive search over Z/p^k gets quadratic in the modulus; beyond this it
-# is no longer a desk-scale computation.
+# Each coefficient costs about (number of orbits) * p^k steps, and p = 43 at
+# k = 3 already takes about half a second; beyond this cap a call is no
+# longer a desk-scale computation.
 MAX_MODULUS = 100_000
 
 
@@ -91,44 +93,51 @@ def isotropic(
 
     big = k  # 2t < k already fails at t = ceil(k/2); cap valuations there
     unreach = big + 1
-    vp_res = np.zeros(m, dtype=np.int64)
-    pj = p
-    while pj < m:
-        vp_res[pj::pj] += 1
-        pj *= p
-    vp_res[0] = big
-    np.minimum(vp_res, big, out=vp_res)
-    residues = np.arange(m, dtype=np.int64)
-    unit_mask = residues % p != 0
 
-    # reach_t[v]: least Hensel exponent over vectors hitting value v (unreach
-    # if none); reach_prim[v]: v is hit by a vector with a unit coordinate
-    reach_t = np.full(m, unreach, dtype=np.int64)
-    reach_t[0] = big  # the empty vector
-    reach_prim = np.zeros(m, dtype=bool)
+    # Every table below is constant on the orbits of Z/p^k under
+    # multiplication by unit squares: a vector y hitting v gives u*y hitting
+    # u^2*v, with the same valuations and unit coordinates. Label each residue
+    # with its orbit and keep one representative per orbit.
+    unit_squares = {u * u % m for u in range(1, m) if u % p}
+    orbit = [-1] * m
+    reps: list[int] = []
+    for r in range(m):
+        if orbit[r] < 0:
+            for s in unit_squares:
+                orbit[s * r % m] = len(reps)
+            reps.append(r)
+
+    # (y^2 mod m, v_p(y)) over every residue y: y = p^j * u with u a unit, or
+    # y = 0 with its valuation capped at big
+    squares = {(p ** (2 * j) * s % m, j) for j in range(k) for s in unit_squares}
+    squares.add((0, big))
+
+    # reach_t[o]: least Hensel exponent over vectors hitting orbit o (unreach
+    # if none); reach_prim[o]: o is hit by a vector with a unit coordinate
+    reach_t = [unreach] * len(reps)
+    reach_t[orbit[0]] = big  # the empty vector
+    reach_prim = [False] * len(reps)
     for beta, w in reduced:
-        term = (p**beta * w % m) * residues**2 % m
-        texp = np.minimum(v2 + beta + vp_res, big)
-        # group residues sharing (shift, exponent, unit flag): one roll each
-        groups: dict[tuple[int, int, bool], None] = {}
-        for r in range(m):
-            groups[(int(term[r]), int(texp[r]), bool(unit_mask[r]))] = None
-        reach_any = reach_t < unreach
-        cand_t = {
-            t: np.where(reach_any, np.minimum(reach_t, t), unreach)
-            for t in {t for (_, t, _) in groups}
-        }
-        new_t = np.full(m, unreach, dtype=np.int64)
-        new_prim = np.zeros(m, dtype=bool)
-        for shift, t, unit in groups:
-            np.minimum(new_t, np.roll(cand_t[t], shift), out=new_t)
-            new_prim |= np.roll(reach_any if unit else reach_prim, shift)
+        c = p**beta * w % m
+        # the distinct steps (c*y^2, Hensel exponent, y is a unit) over y
+        steps = {(c * q % m, min(v2 + beta + j, big), j == 0) for q, j in squares}
+        new_t = [unreach] * len(reps)
+        new_prim = [False] * len(reps)
+        # u^2*a + c*y^2 = u^2*(a + c*(y/u)^2): the representative a speaks
+        # for its whole orbit
+        for o, a in enumerate(reps):
+            if reach_t[o] == unreach:
+                continue
+            for shift, t, unit in steps:
+                hit = orbit[(a + shift) % m]
+                new_t[hit] = min(new_t[hit], reach_t[o], t)
+                new_prim[hit] = new_prim[hit] or unit or reach_prim[o]
         reach_t, reach_prim = new_t, new_prim
 
-    t0 = int(reach_t[0])
+    t0 = reach_t[orbit[0]]
     if t0 <= big and 2 * t0 < k:
         return True
-    if bool(reach_prim[0]):
+    if reach_prim[orbit[0]]:
         raise InconclusivePrecisionError(
             f"no certified zero and no refutation at precision {p}^{k}"
         )

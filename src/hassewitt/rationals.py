@@ -23,8 +23,24 @@ Rational = Fraction
 
 # the first 13 primes: the trial divisors and the Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# least strong pseudoprime to all 13 bases: below it, passing them proves primality
-_PSI_13 = 3317044064679887385961981
+# psi_t, the least strong pseudoprime to the first t of those bases (OEIS
+# A014233): below psi_t, passing the first t bases proves primality
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_PSI_13 = _PSI[-1]
 # map iterations allowed to the whole rho search of one factor() call
 _RHO_BUDGET = 2**20
 # steps whose |x - y| are multiplied together before one gcd
@@ -62,8 +78,9 @@ def format_rational(q: Rational) -> str:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: exact for every n < PSI_13.
 
-    A witness among the 13 bases proves n composite at any size; a probable
-    prime at or above PSI_13 raises FactorizationLimitError.
+    A witness among the 13 bases proves n composite at any size. Once the
+    first t bases pass, n < psi_t proves it prime, so small n stop early; a
+    probable prime at or above PSI_13 raises FactorizationLimitError.
     """
     if n < 2:
         return False
@@ -76,21 +93,20 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a, psi in zip(_SMALL_PRIMES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _PSI_13:
-        raise FactorizationLimitError(
-            f"{n} is a probable prime beyond the proven range {_PSI_13}"
-        )
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise FactorizationLimitError(
+        f"{n} is a probable prime beyond the proven range {_PSI_13}"
+    )
 
 
 def _require_prime(p: int) -> None:

@@ -151,11 +151,23 @@ def _half_values(coeffs: list[int], height: int) -> np.ndarray:
     return vals
 
 
+def _denominators(coeffs: list[int], scale: int, height: int) -> range:
+    """The d <= height that can carry a point. The content g of the
+    coefficients divides every sum coeffs_i c_i^2, so it must divide
+    scale*d^2, and the d that pass are the multiples of the least one."""
+    g = math.gcd(*coeffs)
+    first = next((d for d in range(1, height + 1) if scale * d * d % g == 0), height + 1)
+    return range(first, height + 1, first)
+
+
 def _first_denominator_mitm(coeffs: list[int], scale: int, height: int) -> int | None:
     # meet in the middle on sorted half tables (Horowitz-Sahni). Every target
     # scale*d^2 lies in [scale, scale*h^2], so a left value l can only meet a
     # right value inside [scale - l, scale*h^2 - l]: keep the distinct left
     # values whose window holds one, then probe each denominator with those
+    denominators = _denominators(coeffs, scale, height)
+    if not denominators:
+        return None
     split = len(coeffs) // 2
     left = np.sort(_half_values(coeffs[:split], height))
     right = np.sort(_half_values(coeffs[split:], height))
@@ -166,7 +178,7 @@ def _first_denominator_mitm(coeffs: list[int], scale: int, height: int) -> int |
     left = left[keep]
     if left.size == 0:
         return None
-    for d in range(1, height + 1):
+    for d in denominators:
         targets = scale * d * d - left
         idx = np.searchsorted(right, targets)
         idx = np.minimum(idx, len(right) - 1)
@@ -176,7 +188,7 @@ def _first_denominator_mitm(coeffs: list[int], scale: int, height: int) -> int |
 
 
 def _first_denominator_dfs(coeffs: list[int], scale: int, height: int) -> int | None:
-    for d in range(1, height + 1):
+    for d in _denominators(coeffs, scale, height):
         if _lex_smallest(coeffs, scale * d * d, height) is not None:
             return d
     return None

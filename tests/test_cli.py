@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+import hassewitt
 from hassewitt import cli
 from hassewitt.cohomology import BaseField, cohclass_to_json, h1, hilbert_symbol
 from hassewitt.forms import DiagonalForm, form_to_json
@@ -238,3 +242,22 @@ def test_rationals_survive_the_argv_round_trip(a, b):
     code, out = run_captured("hilbert", "-a", str(a), "-b", str(b), "--place", "2")
     assert code == 0
     assert json.loads(out) == {"symbol": hilbert_symbol(a, b, Place.finite(2))}
+
+
+def test_rank_seven_content_form_answers_promptly():
+    # content 7919 > the default height 100: no denominator can carry a point,
+    # so the rank-7 search, which grows like h^7, never starts
+    form = json.dumps([7919, -7919] * 3 + [7919])
+    src = Path(hassewitt.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "hassewitt.cli", "solvable", "--form", form],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "solvable": True,
+        "witness": None,
+        "failing_place": None,
+        "checked_places": ["inf", "2", "7919"],
+    }

@@ -1,18 +1,20 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hassewitt.localsolve import (
+    MAX_MODULUS,
     InconclusivePrecisionError,
     default_precision,
     isotropic,
     min_precision,
     represents_one,
 )
-from hassewitt.rationals import padic_valuation
+from hassewitt.rationals import as_rational, is_prime, padic_valuation, unit_residue
 
 coeff = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
     lambda q: q != 0
@@ -56,6 +58,78 @@ def naive_verdict(coeffs, p, k):
         return True
     if primitive:
         return "inconclusive"
+    return False
+
+
+def residue_table_isotropic(coeffs, p, k=None):
+    """The same search with one table entry per residue mod p^k, in numpy:
+    one np.roll per distinct (shift, exponent, unit flag) group. Slow."""
+    cs = [as_rational(c) for c in coeffs]
+    if not cs:
+        raise ValueError("empty coefficient list")
+    if any(c == 0 for c in cs):
+        raise ValueError("zero coefficient in a nondegenerate diagonal form")
+    if not is_prime(p):
+        raise ValueError(f"{p!r} is not a prime")
+    if k is None:
+        k = default_precision(p)
+    if k < min_precision(p):
+        raise InconclusivePrecisionError(
+            f"precision p^{k} is below the faithful minimum p^{min_precision(p)} at p={p}"
+        )
+    m = p**k
+    if m > MAX_MODULUS:
+        raise ValueError(f"residue modulus {p}^{k} exceeds the search cap")
+
+    # Modulo squares, c = p^beta * w with beta in {0,1} and w determined by its
+    # residue mod p^k (faithful by the precision floor above). The Hensel
+    # exponent of coordinate j at residue y is t = v_p(2) + beta_j + v_p(y).
+    v2 = 1 if p == 2 else 0
+    reduced = [(padic_valuation(c, p) % 2, unit_residue(c, p, k)) for c in cs]
+
+    big = k  # 2t < k already fails at t = ceil(k/2); cap valuations there
+    unreach = big + 1
+    vp_res = np.zeros(m, dtype=np.int64)
+    pj = p
+    while pj < m:
+        vp_res[pj::pj] += 1
+        pj *= p
+    vp_res[0] = big
+    np.minimum(vp_res, big, out=vp_res)
+    residues = np.arange(m, dtype=np.int64)
+    unit_mask = residues % p != 0
+
+    # reach_t[v]: least Hensel exponent over vectors hitting value v (unreach
+    # if none); reach_prim[v]: v is hit by a vector with a unit coordinate
+    reach_t = np.full(m, unreach, dtype=np.int64)
+    reach_t[0] = big  # the empty vector
+    reach_prim = np.zeros(m, dtype=bool)
+    for beta, w in reduced:
+        term = (p**beta * w % m) * residues**2 % m
+        texp = np.minimum(v2 + beta + vp_res, big)
+        # group residues sharing (shift, exponent, unit flag): one roll each
+        groups: dict[tuple[int, int, bool], None] = {}
+        for r in range(m):
+            groups[(int(term[r]), int(texp[r]), bool(unit_mask[r]))] = None
+        reach_any = reach_t < unreach
+        cand_t = {
+            t: np.where(reach_any, np.minimum(reach_t, t), unreach)
+            for t in {t for (_, t, _) in groups}
+        }
+        new_t = np.full(m, unreach, dtype=np.int64)
+        new_prim = np.zeros(m, dtype=bool)
+        for shift, t, unit in groups:
+            np.minimum(new_t, np.roll(cand_t[t], shift), out=new_t)
+            new_prim |= np.roll(reach_any if unit else reach_prim, shift)
+        reach_t, reach_prim = new_t, new_prim
+
+    t0 = int(reach_t[0])
+    if t0 <= big and 2 * t0 < k:
+        return True
+    if bool(reach_prim[0]):
+        raise InconclusivePrecisionError(
+            f"no certified zero and no refutation at precision {p}^{k}"
+        )
     return False
 
 
@@ -167,3 +241,37 @@ def test_isotropic_forms_represent_one(coeffs, p):
 @settings(max_examples=60, deadline=None)
 def test_permutation_invariance(coeffs, p):
     assert isotropic(coeffs, p) == isotropic(list(reversed(coeffs)), p)
+
+
+# every precision from 1 to one past the default with p^k <= 7^4. The residue
+# table costs about p^(2k) per coefficient, so 11^4 and 13^4, the other such
+# moduli under the search cap, come as the fixed examples below
+_DRAWN = [
+    (p, k)
+    for p in (2, 3, 5, 7, 11, 13)
+    for k in range(1, default_precision(p) + 2)
+    if p**k <= 7**4
+]
+
+
+def outcome(search, coeffs, p, k):
+    try:
+        return search(coeffs, p, k)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(
+    st.sampled_from(_DRAWN),
+    st.lists(st.tuples(coeff, st.integers(0, 2)), min_size=1, max_size=5),
+)
+@example((11, 4), [(Fraction(3), 1), (Fraction(-5), 0)])
+@example((11, 4), [(Fraction(2, 7), 0)])
+@example((13, 4), [(Fraction(-1), 0), (Fraction(7, 4), 0)])
+@example((13, 4), [(Fraction(5), 1)])
+@settings(max_examples=150, deadline=None)
+def test_orbit_tables_match_residue_tables(precision, terms):
+    # the per-orbit search against the per-residue one, refusals included
+    p, k = precision
+    coeffs = [c * p**e for c, e in terms]
+    assert outcome(isotropic, coeffs, p, k) == outcome(residue_table_isotropic, coeffs, p, k)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -102,6 +103,75 @@ def test_is_prime_proven_range():
     assert is_prime(2**61 - 1)
     # a composite above the range is still decided by a witness
     assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+# A014233: psi_t, the least strong pseudoprime to the first t prime bases
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def thirteen_base_is_prime(n):
+    """Miller-Rabin to all 13 bases with no early exit: exact below psi_13."""
+    if n < 2:
+        return False
+    for p in BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_at_each_pseudoprime_bound():
+    # psi_t passes the first t bases, so the early exit must not fire at it
+    for psi in PSI[:-1]:
+        assert not is_prime(psi)
+    with pytest.raises(FactorizationLimitError):
+        is_prime(PSI[-1])  # passes all 13: past the proven range, refused
+
+
+def test_early_exit_matches_thirteen_bases():
+    # is_prime.__wrapped__ skips the cache, which would otherwise keep 2 * 10^6
+    # entries. Below 2 * 10^6 < psi_13 the 13-base test is exact, so it agrees
+    # with the sieve of Eratosthenes, the cheaper reference used there.
+    uncached = is_prime.__wrapped__
+    limit = 2 * 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert list(filter(uncached, range(limit))) == [n for n in range(limit) if sieve[n]]
+    rng = random.Random(40)
+    for _ in range(2000):
+        n = rng.getrandbits(40) | 1 << 39
+        assert uncached(n) == thirteen_base_is_prime(n), n
 
 
 def test_factor_certification_boundary():

@@ -15,6 +15,7 @@ from hassewitt.solvability import (
     _INT64_GUARD,
     _first_denominator_dfs,
     _first_denominator_mitm,
+    _lex_smallest,
     local_oracle,
     relevant_places,
     search_point,
@@ -39,11 +40,23 @@ def test_solvable_over_R():
     assert not solvable_over_R(DiagonalForm.of(-1, -2, -3))
 
 
-@given(forms, st.sampled_from((2, 3, 5, 7, 13)))
+@given(forms, st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23)))
 @settings(max_examples=200, deadline=None)
 def test_local_routes_agree(form, p):
     # closed-form isotropy criteria vs the brute-force residue oracle
     assert solvable_over_Qp(form, p) == local_oracle(form, p)
+
+
+@pytest.mark.parametrize("p", (29, 31, 37, 41, 43))
+def test_local_routes_agree_at_large_primes(p):
+    # 43^3 is the largest default-precision modulus under the search cap
+    cases = ([3, p, -5], [3, p, -5, 7], [-1, -p], [2, p], [3, 3 * p])
+    verdicts = []
+    for entries in cases:
+        form = DiagonalForm.of(*entries)
+        verdicts.append(local_oracle(form, p))
+        assert solvable_over_Qp(form, p) == verdicts[-1], entries
+    assert False in verdicts and True in verdicts
 
 
 def test_local_fixed_verdicts():
@@ -160,6 +173,33 @@ def test_denominator_scan_routes_agree(coeffs, scale, height):
     mitm = _first_denominator_mitm(coeffs, scale, height)
     dfs = _first_denominator_dfs(coeffs, scale, height)
     assert mitm == dfs
+
+
+def unpruned_first_denominator(coeffs, scale, height):
+    """Every denominator in turn, with no content check."""
+    for d in range(1, height + 1):
+        if _lex_smallest(coeffs, scale * d * d, height) is not None:
+            return d
+    return None
+
+
+@given(forms | int_forms, st.sampled_from((2, 3, 6, 7)), st.integers(min_value=1, max_value=10))
+@example(DiagonalForm.of(2, 4), 2, 4)  # content 4: only the even d remain
+@example(DiagonalForm.of("1/2", "3/2"), 6, 6)
+@settings(max_examples=150, deadline=None)
+def test_content_skip_keeps_search_results(form, g, height):
+    # a form scaled by g has content divisible by g, so most d are skipped
+    scaled = DiagonalForm(tuple(g * a for a in form.entries))
+    scale = math.lcm(*(a.denominator for a in scaled.entries))
+    coeffs = [int(a * scale) for a in scaled.entries]
+    d = unpruned_first_denominator(coeffs, scale, height)
+    assert _first_denominator_dfs(coeffs, scale, height) == d
+    assert _first_denominator_mitm(coeffs, scale, height) == d
+    if d is None:
+        assert search_point(scaled, height) is None
+    else:
+        numerators = _lex_smallest(coeffs, scale * d * d, height)
+        assert search_point(scaled, height) == tuple(Fraction(c, d) for c in numerators)
 
 
 def test_point_search_leaves_numpy_ma_unimported():
