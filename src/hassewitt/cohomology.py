@@ -23,19 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .localsolve import represents_one
 from .rationals import (
     REAL_PLACE,
     Place,
     Rational,
+    _least_nonresidue,
+    _legendre,
+    _require_prime,
+    _split,
     as_rational,
-    legendre_symbol,
-    padic_valuation,
     ramified_places,
-    smallest_nonresidue,
     squarefree_part,
-    unit_residue,
 )
 
 TWO_ADIC_REPS = (1, -1, 2, -2, 5, -5, 10, -10)
@@ -100,20 +101,17 @@ def hilbert_symbol(a: Rational | int | str, b: Rational | int | str, v: Place) -
         raise ValueError("hilbert symbol needs nonzero arguments")
     if v.is_real:
         return -1 if a < 0 and b < 0 else 1
-    p = v.p
+    p = v.p  # certified by Place
     if p == 2:
         return _two_adic_table()[two_adic_class(a), two_adic_class(b)]
-    alpha = padic_valuation(a, p) % 2
-    beta = padic_valuation(b, p) % 2
-    u = unit_residue(a, p)
-    w = unit_residue(b, p)
-    sign = 1
-    if alpha and beta and (p - 1) // 2 % 2:
-        sign = -sign
-    if beta:
-        sign *= legendre_symbol(u, p)
-    if alpha:
-        sign *= legendre_symbol(w, p)
+    # the tame formula (Serre, A Course in Arithmetic, III.1.2)
+    alpha, u = _split(a, p)
+    beta, w = _split(b, p)
+    sign = -1 if alpha % 2 and beta % 2 and p % 4 == 3 else 1
+    if beta % 2:
+        sign *= _legendre(u, p)
+    if alpha % 2:
+        sign *= _legendre(w, p)
     return sign
 
 
@@ -134,9 +132,8 @@ def two_adic_class(q: Rational | int | str) -> int:
     q = as_rational(q)
     if q == 0:
         raise ValueError("zero has no square class")
-    v = padic_valuation(q, 2) % 2
-    unit = {1: 1, 3: -5, 5: 5, 7: -1}[unit_residue(q, 2, 3)]
-    return (2 if v else 1) * unit
+    v, u = _split(q, 2, 3)
+    return (2 if v % 2 else 1) * {1: 1, 3: -5, 5: 5, 7: -1}[u]
 
 
 def padic_class_rep(q: Rational | int | str, p: int) -> int:
@@ -146,15 +143,16 @@ def padic_class_rep(q: Rational | int | str, p: int) -> int:
     q = as_rational(q)
     if q == 0:
         raise ValueError("zero has no square class")
-    v = padic_valuation(q, p) % 2
-    unit = 1 if legendre_symbol(unit_residue(q, p), p) == 1 else smallest_nonresidue(p)
-    return (p if v else 1) * unit
+    _require_prime(p)
+    v, u = _split(q, p)
+    unit = 1 if _legendre(u, p) == 1 else _least_nonresidue(p)
+    return (p if v % 2 else 1) * unit
 
 
 def _qp_reps(p: int) -> tuple[int, ...]:
     if p == 2:
         return TWO_ADIC_REPS
-    u = smallest_nonresidue(p)
+    u = _least_nonresidue(p)  # p certified by BaseField
     return (1, u, p, u * p)
 
 
@@ -283,10 +281,7 @@ def add(c1: CohClass, c2: CohClass) -> CohClass:
 
 def reciprocity_holds(a: Rational | int | str, b: Rational | int | str) -> bool:
     """Product of (a,b)_v over the real place, 2, and every odd prime dividing a or b."""
-    prod = 1
-    for v in ramified_places(a, b):
-        prod *= hilbert_symbol(a, b, v)
-    return prod == 1
+    return prod(hilbert_symbol(a, b, v) for v in ramified_places(a, b)) == 1
 
 
 def cohclass_to_json(c: CohClass) -> dict:
@@ -297,14 +292,10 @@ def cohclass_to_json(c: CohClass) -> dict:
     elif c.degree == 1 and c.field.kind != "R":
         doc["payload"] = c.payload
     elif c.field.kind == "Q" and c.degree == 2:
-        doc["payload"] = sorted((str(v) for v in c.payload), key=_place_key)
+        doc["payload"] = [str(v) for v in sorted(c.payload)]
     else:
         doc["payload"] = c.payload
     return doc
-
-
-def _place_key(s: str) -> tuple[int, int]:
-    return (0, 0) if s == "inf" else (1, int(s))
 
 
 def cohclass_from_json(doc: dict) -> CohClass:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 from .cohomology import hilbert_symbol
@@ -152,12 +153,7 @@ def discriminant(form: DiagonalForm) -> int:
 
 def hasse_invariant(form: DiagonalForm, v: Place) -> int:
     """Product of (a_i, a_j)_v over i < j; the empty product for rank 1."""
-    eps = 1
-    entries = form.entries
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            eps *= hilbert_symbol(entries[i], entries[j], v)
-    return eps
+    return prod(hilbert_symbol(a, b, v) for a, b in combinations(form.entries, 2))
 
 
 def form_to_json(form: DiagonalForm) -> list[str]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import Rational, as_rational, is_prime, padic_valuation, unit_residue
+from .rationals import Rational, _split, as_rational, is_prime
 
 # Each coefficient costs about (number of orbits) * p^k steps, and p = 43 at
 # k = 3 already takes about half a second; beyond this cap a call is no
@@ -89,7 +89,7 @@ def isotropic(
     # residue mod p^k (faithful by the precision floor above). The Hensel
     # exponent of coordinate j at residue y is t = v_p(2) + beta_j + v_p(y).
     v2 = 1 if p == 2 else 0
-    reduced = [(padic_valuation(c, p) % 2, unit_residue(c, p, k)) for c in cs]
+    reduced = [(v % 2, w) for v, w in (_split(c, p, k) for c in cs)]
 
     big = k  # 2t < k already fails at t = ceil(k/2); cap valuations there
     unreach = big + 1

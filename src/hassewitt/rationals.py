@@ -9,7 +9,8 @@ which is a proof below PSI_13 = 3317044064679887385961981 (Sorenson and
 Webster, Math. Comp. 2017); composites that are not small-prime multiples are
 split by Pollard's rho in Brent's form (Brent, BIT 1980) within a fixed
 iteration budget. Past either limit the answer is a FactorizationLimitError,
-never a guess.
+never a guess. Each prime is certified once, where it enters; past that the
+symbol path runs on the unchecked _split, and nothing is cached.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 Rational = Fraction
 
@@ -74,7 +74,6 @@ def format_rational(q: Rational) -> str:
     return str(as_rational(q))
 
 
-@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: exact for every n < PSI_13.
 
@@ -203,21 +202,29 @@ def squarefree_part(q: Rational | int | str) -> int:
     return s
 
 
-def padic_valuation(q: Rational | int | str, p: int) -> int:
-    """v_p(q) for nonzero rational q."""
+def _checked(q: Rational | int | str, p: int) -> Rational:
     q = as_rational(q)
     if q == 0:
         raise ValueError("valuation of zero is undefined")
     _require_prime(p)
-    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+    return q
 
 
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
+def _split(q: Rational, p: int, k: int = 1) -> tuple[int, int]:
+    """(v_p(q), the unit part of q mod p^k) for nonzero q and a certified prime
+    p, in integers: at most one of numerator and denominator holds p."""
+    n, d, v = q.numerator, q.denominator, 0
     while n % p == 0:
-        n //= p
-        v += 1
-    return v
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    m = p**k
+    return v, n * pow(d, -1, m) % m
+
+
+def padic_valuation(q: Rational | int | str, p: int) -> int:
+    """v_p(q) for nonzero rational q."""
+    return _split(_checked(q, p), p)[0]
 
 
 def unit_part(q: Rational | int | str, p: int) -> Rational:
@@ -228,9 +235,7 @@ def unit_part(q: Rational | int | str, p: int) -> Rational:
 
 def unit_residue(q: Rational | int | str, p: int, k: int = 1) -> int:
     """The unit part of q reduced mod p^k, inverting the (coprime) denominator."""
-    u = unit_part(q, p)
-    m = p**k
-    return u.numerator * pow(u.denominator, -1, m) % m
+    return _split(_checked(q, p), p, k)[1]
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -240,22 +245,26 @@ def legendre_symbol(a: int, p: int) -> int:
         raise ValueError("legendre_symbol needs an odd prime")
     if not isinstance(a, int) or isinstance(a, bool):
         raise TypeError("legendre_symbol takes an integer residue")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    # Euler's criterion for a certified odd prime p: r is 0, 1 or p - 1
     r = pow(a % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
+    return -1 if r == p - 1 else r
 
 
-@lru_cache(maxsize=None)
 def smallest_nonresidue(p: int) -> int:
     """Least positive quadratic nonresidue mod an odd prime."""
     _require_prime(p)
     if p == 2:
         raise ValueError("no nonresidues mod 2")
-    a = 2
-    while legendre_symbol(a, p) != -1:
-        a += 1
-    return a
+    return _least_nonresidue(p)
+
+
+def _least_nonresidue(p: int) -> int:
+    # for a certified odd prime p
+    return next(a for a in range(2, p) if _legendre(a, p) == -1)
 
 
 @dataclass(frozen=True, slots=True)

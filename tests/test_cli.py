@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -261,3 +262,21 @@ def test_rank_seven_content_form_answers_promptly():
         "failing_place": None,
         "checked_places": ["inf", "2", "7919"],
     }
+
+
+def test_oversized_search_exits_2_under_a_memory_limit():
+    # the half tables would take 6.71 GiB; under a 1 GiB address-space limit a
+    # search that allocated first would die instead of refusing
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(hassewitt.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-m", "hassewitt.cli", "search",
+         "--form", "[1,1,1,-3]", "--height", "30000"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and "over the cap" in out.stderr

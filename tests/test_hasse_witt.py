@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hassewitt.cohomology import (
     BaseField,
+    CohClass,
     RATIONALS,
     REALS,
     add,
@@ -100,9 +101,35 @@ def test_obstruction_dim0_is_the_square_class(a, field):
 
 def test_rank_cap():
     big = DiagonalForm(tuple(Fraction(1) for _ in range(MAX_RANK + 1)))
-    for fn in (hasse_witt_vector, top_obstruction):
-        with pytest.raises(ValueError, match=str(MAX_RANK)):
-            fn(big, REALS)
+    with pytest.raises(ValueError, match=str(MAX_RANK)):
+        hasse_witt_vector(big, REALS)
+
+
+@given(
+    st.lists(coeff, min_size=13, max_size=20).map(lambda es: DiagonalForm(tuple(es))),
+    st.sampled_from((RATIONALS, REALS, BaseField.padics(2))),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=30, deadline=None)
+def test_ranks_past_the_old_cap(form, field, cut):
+    # ranks 13-20 used to be refused; the recursion answers them, and its
+    # top entry and Whitney sums agree with the independent routes
+    assert hasse_witt_vector(form, field)[form.rank] == top_obstruction(form, field)
+    d1 = DiagonalForm(form.entries[:cut])
+    d2 = DiagonalForm(form.entries[cut:])
+    assert whitney_sum_check(d1, d2, field)
+
+
+def test_top_obstruction_has_no_rank_cap():
+    minus_ones = DiagonalForm(tuple(Fraction(-1) for _ in range(100)))
+    assert top_obstruction(minus_ones, RATIONALS).payload == 1
+    assert top_obstruction(minus_ones, REALS).payload == 1
+    assert top_obstruction(minus_ones, BaseField.padics(2)).payload is None
+    # from degree 3 on the class over Q is carried by the real place alone
+    negative = DiagonalForm(tuple(Fraction(-2 - i) for i in range(100)))
+    assert top_obstruction(negative, RATIONALS) == CohClass(RATIONALS, 100, 1)
+    mixed = DiagonalForm((Fraction(3),) + negative.entries[1:])
+    assert is_zero(top_obstruction(mixed, RATIONALS))
 
 
 def test_whitney_fixed_example():

@@ -157,21 +157,19 @@ def test_is_prime_at_each_pseudoprime_bound():
 
 
 def test_early_exit_matches_thirteen_bases():
-    # is_prime.__wrapped__ skips the cache, which would otherwise keep 2 * 10^6
-    # entries. Below 2 * 10^6 < psi_13 the 13-base test is exact, so it agrees
-    # with the sieve of Eratosthenes, the cheaper reference used there.
-    uncached = is_prime.__wrapped__
+    # Below 2 * 10^6 < psi_13 the 13-base test is exact, so it agrees with the
+    # sieve of Eratosthenes, the cheaper reference used there.
     limit = 2 * 10**6
     sieve = bytearray([1]) * limit
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    assert list(filter(uncached, range(limit))) == [n for n in range(limit) if sieve[n]]
+    assert list(filter(is_prime, range(limit))) == [n for n in range(limit) if sieve[n]]
     rng = random.Random(40)
     for _ in range(2000):
         n = rng.getrandbits(40) | 1 << 39
-        assert uncached(n) == thirteen_base_is_prime(n), n
+        assert is_prime(n) == thirteen_base_is_prime(n), n
 
 
 def test_factor_certification_boundary():

@@ -13,6 +13,7 @@ from hassewitt.forms import DiagonalForm
 from hassewitt.rationals import REAL_PLACE, Place
 from hassewitt.solvability import (
     _INT64_GUARD,
+    SearchBudgetExceeded,
     _first_denominator_dfs,
     _first_denominator_mitm,
     _lex_smallest,
@@ -40,10 +41,22 @@ def test_solvable_over_R():
     assert not solvable_over_R(DiagonalForm.of(-1, -2, -3))
 
 
-@given(forms, st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23)))
+def ramified_at(p):
+    # each entry times p^-1..p^2, so every valuation class meets both routes
+    # even at primes beyond the entries' own factors
+    entry = st.tuples(coeff, st.integers(min_value=-1, max_value=2)).map(
+        lambda t: t[0] * Fraction(p) ** t[1]
+    )
+    return st.lists(entry, min_size=1, max_size=3).map(
+        lambda es: (DiagonalForm(tuple(es)), p)
+    )
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23)).flatmap(ramified_at))
 @settings(max_examples=200, deadline=None)
-def test_local_routes_agree(form, p):
+def test_local_routes_agree(case):
     # closed-form isotropy criteria vs the brute-force residue oracle
+    form, p = case
     assert solvable_over_Qp(form, p) == local_oracle(form, p)
 
 
@@ -200,6 +213,16 @@ def test_content_skip_keeps_search_results(form, g, height):
     else:
         numerators = _lex_smallest(coeffs, scale * d * d, height)
         assert search_point(scaled, height) == tuple(Fraction(c, d) for c in numerators)
+
+
+def test_oversized_search_refused_before_allocation():
+    # (1448 + 1)^2 entries in each half table: at rank 4 the least height
+    # past the cap
+    with pytest.raises(SearchBudgetExceeded, match="2097152"):
+        search_point(DiagonalForm.of(1, 1, 1, -3), 1448)
+    # the content 1000003 leaves no denominator up to the height: nothing to
+    # build, so nothing is refused
+    assert search_point(DiagonalForm.of(1000003, 1000003, -1000003), 30000) is None
 
 
 def test_point_search_leaves_numpy_ma_unimported():
