@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 from .localsolve import represents_one
 from .rationals import (
@@ -101,7 +101,11 @@ def hilbert_symbol(a: Rational | int | str, b: Rational | int | str, v: Place) -
         raise ValueError("hilbert symbol needs nonzero arguments")
     if v.is_real:
         return -1 if a < 0 and b < 0 else 1
-    p = v.p  # certified by Place
+    return _finite_symbol(a, b, v.p)  # p certified by Place
+
+
+def _finite_symbol(a: Rational, b: Rational, p: int) -> int:
+    # (a, b)_p for nonzero a, b and a certified prime p
     if p == 2:
         return _two_adic_table()[two_adic_class(a), two_adic_class(b)]
     # the tame formula (Serre, A Course in Arithmetic, III.1.2)
@@ -138,12 +142,18 @@ def two_adic_class(q: Rational | int | str) -> int:
 
 def padic_class_rep(q: Rational | int | str, p: int) -> int:
     """Canonical square-class representative in Q_p: {1, u, p, u p} for odd p (u the least nonresidue), the mod-8 family at p = 2."""
-    if p == 2:
-        return two_adic_class(q)
     q = as_rational(q)
     if q == 0:
         raise ValueError("zero has no square class")
-    _require_prime(p)
+    if p != 2:
+        _require_prime(p)
+    return _padic_class_rep(q, p)
+
+
+def _padic_class_rep(q: Rational, p: int) -> int:
+    # for nonzero q and a certified prime p
+    if p == 2:
+        return two_adic_class(q)
     v, u = _split(q, p)
     unit = 1 if _legendre(u, p) == 1 else _least_nonresidue(p)
     return (p if v % 2 else 1) * unit
@@ -218,7 +228,7 @@ def h1(a: Rational | int | str, field: BaseField) -> CohClass:
     if field.kind == "Q":
         return CohClass(field, 1, squarefree_part(a))
     if field.kind == "Qp":
-        return CohClass(field, 1, padic_class_rep(a, field.p))
+        return CohClass(field, 1, _padic_class_rep(a, field.p))  # p certified by BaseField
     return CohClass(field, 1, 1 if a < 0 else 0)
 
 
@@ -253,7 +263,7 @@ def cup(c1: CohClass, c2: CohClass) -> CohClass:
     if field.kind == "Qp":
         if d >= 3:
             return zero_class(field, d)
-        bit = hilbert_symbol(c1.payload, c2.payload, Place.finite(field.p)) == -1
+        bit = _finite_symbol(c1.payload, c2.payload, field.p) == -1
         return CohClass(field, 2, int(bit))
     if d == 2:
         return CohClass(field, 2, _symbol_support(c1.payload, c2.payload))
@@ -267,14 +277,12 @@ def add(c1: CohClass, c2: CohClass) -> CohClass:
     field, d = c1.field, c1.degree
     if field.kind == "Qp" and d >= 3:
         return c1
-    if d == 1 and field.kind != "R":
-        prod = Fraction(c1.payload) * Fraction(c2.payload)
-        rep = (
-            squarefree_part(prod)
-            if field.kind == "Q"
-            else padic_class_rep(prod, field.p)
-        )
-        return CohClass(field, 1, rep)
+    if d == 1 and field.kind == "Q":
+        # square-free a and b: a*b is g^2 times the square-free a*b/g^2
+        a, b = c1.payload, c2.payload
+        return CohClass(field, 1, a * b // gcd(a, b) ** 2)
+    if d == 1 and field.kind == "Qp":
+        return CohClass(field, 1, _padic_class_rep(c1.payload * c2.payload, field.p))
     # remaining groups are bits under xor, or place sets under symmetric difference
     return CohClass(field, d, c1.payload ^ c2.payload)
 

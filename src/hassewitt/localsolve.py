@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import Rational, _split, as_rational, is_prime
+from .rationals import Rational, _require_prime, _split, as_rational
 
 # Each coefficient costs about (number of orbits) * p^k steps, and p = 43 at
 # k = 3 already takes about half a second; beyond this cap a call is no
@@ -73,8 +73,7 @@ def isotropic(
         raise ValueError("empty coefficient list")
     if any(c == 0 for c in cs):
         raise ValueError("zero coefficient in a nondegenerate diagonal form")
-    if not is_prime(p):
-        raise ValueError(f"{p!r} is not a prime")
+    _require_prime(p)
     if k is None:
         k = default_precision(p)
     if k < min_precision(p):

@@ -264,19 +264,69 @@ def test_rank_seven_content_form_answers_promptly():
     }
 
 
+def run_process(*argv, timeout, preexec_fn=None):
+    src = Path(hassewitt.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "hassewitt.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn,
+    )
+
+
 def test_oversized_search_exits_2_under_a_memory_limit():
     # the half tables would take 6.71 GiB; under a 1 GiB address-space limit a
-    # search that allocated first would die instead of refusing
+    # search that allocated first would die instead of refusing or answering
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    src = Path(hassewitt.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-m", "hassewitt.cli", "search",
-         "--form", "[1,1,1,-3]", "--height", "30000"],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    out = run_process(
+        "search", "--form", "[3,5,7,-1000003]", "--height", "30000",
+        timeout=60, preexec_fn=limit,
     )
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
-    assert out.stderr.startswith("error:") and "over the cap" in out.stderr
+    assert out.stderr.startswith("error:") and "budget of 2097152" in out.stderr
+    out = run_process(
+        "search", "--form", "[1,1,1,-3]", "--height", "30000",
+        timeout=60, preexec_fn=limit,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"point": ["0", "0", "1", "0"]}
+
+
+RANK_SEVEN = "[2,3,5,7,11,13,-1000003]"
+
+
+def test_searches_past_the_budget_answer_promptly():
+    # no content to prune: the rank-7 depth-first search at the default
+    # height 100 used to run for minutes
+    out = run_process("solvable", "--form", RANK_SEVEN, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "solvable": True,
+        "witness": None,
+        "failing_place": None,
+        "checked_places": ["inf", "2", "3", "5", "7", "11", "13", "1000003"],
+    }
+    out = run_process("search", "--form", RANK_SEVEN, "--height", "100", timeout=30)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "budget of 2097152" in out.stderr
+    # 15-digit entries trip the int64 guard, so the depth-first scan runs
+    out = run_process(
+        "solvable", "--form", "[100000000000031,3,-300000000000089,5]", timeout=30
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "solvable": True,
+        "witness": None,
+        "failing_place": None,
+        "checked_places": ["inf", "2", "3", "5", "100000000000031", "300000000000089"],
+    }
+
+
+def test_meet_in_the_middle_probes_spend_the_budget():
+    # x^2 + y^2 = 3 d^2 has no rational point, and each of the 2000001 half
+    # table entries fits the budget, so every denominator probes a full table
+    out = run_process("search", "--form", '["1/3","1/3"]', "--height", "2000000", timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "budget of 2097152" in out.stderr

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,13 @@ from hassewitt.cohomology import (
     zero_class,
 )
 from hassewitt.localsolve import represents_one
-from hassewitt.rationals import REAL_PLACE, Place, padic_valuation, unit_residue
+from hassewitt.rationals import (
+    REAL_PLACE,
+    Place,
+    padic_valuation,
+    squarefree_part,
+    unit_residue,
+)
 
 nonzero = st.fractions(min_value=-100, max_value=100, max_denominator=40).filter(
     lambda q: q != 0
@@ -157,6 +164,20 @@ def test_h1_kills_squares(a, field):
 @settings(max_examples=150)
 def test_h1_is_multiplicative(a, b, field):
     assert add(h1(a, field), h1(b, field)) == h1(a * b, field)
+
+
+# a sign times distinct primes, drawn so that two payloads often share some
+squarefree = st.tuples(
+    st.sampled_from((1, -1)),
+    st.sets(st.sampled_from((2, 3, 5, 7, 11, 13, 10007)), max_size=5),
+).map(lambda t: t[0] * math.prod(t[1]))
+
+
+@given(squarefree, squarefree)
+@settings(max_examples=150)
+def test_degree_one_add_over_q_needs_no_factoring(a, b):
+    c = add(CohClass(RATIONALS, 1, a), CohClass(RATIONALS, 1, b))
+    assert c.payload == squarefree_part(a * b)
 
 
 def test_cup_fixed_values():

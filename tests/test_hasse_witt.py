@@ -29,6 +29,7 @@ from hassewitt.hasse_witt import (
     top_obstruction,
     whitney_sum_check,
 )
+from hassewitt import rationals
 from hassewitt.rationals import REAL_PLACE, Place
 
 fields = st.sampled_from(
@@ -130,6 +131,24 @@ def test_top_obstruction_has_no_rank_cap():
     assert top_obstruction(negative, RATIONALS) == CohClass(RATIONALS, 100, 1)
     mixed = DiagonalForm((Fraction(3),) + negative.entries[1:])
     assert is_zero(top_obstruction(mixed, RATIONALS))
+
+
+@pytest.mark.parametrize("p", (2, 10007))
+def test_padic_vector_certifies_no_prime(monkeypatch, p):
+    # the field certified p once; classes, cups and sums inside reuse it
+    field = BaseField.padics(p)
+    form = DiagonalForm.of(
+        3, -5, p, -2 * p, Fraction(7, p), 11, -p * p, 6, -1, 13, Fraction(p, 3), 2
+    )
+    # the Q_2 symbol table is built once per process, certifying 2 as it goes
+    hilbert_symbol(1, 1, Place.finite(2))
+    calls = []
+    is_prime = rationals.is_prime
+    monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    vector = hasse_witt_vector(form, field)
+    assert calls == []
+    monkeypatch.undo()
+    assert vector.classes == literal_vector(form, field)
 
 
 def test_whitney_fixed_example():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,10 +15,11 @@ from hassewitt.forms import DiagonalForm
 from hassewitt.rationals import REAL_PLACE, Place
 from hassewitt.solvability import (
     _INT64_GUARD,
+    _SEARCH_BUDGET,
     SearchBudgetExceeded,
-    _first_denominator_dfs,
-    _first_denominator_mitm,
+    _dfs_point,
     _lex_smallest,
+    _mitm_point,
     local_oracle,
     relevant_places,
     search_point,
@@ -70,6 +73,14 @@ def test_local_routes_agree_at_large_primes(p):
         verdicts.append(local_oracle(form, p))
         assert solvable_over_Qp(form, p) == verdicts[-1], entries
     assert False in verdicts and True in verdicts
+
+
+@pytest.mark.parametrize("p", (3.0, True, 4))
+def test_local_routes_refuse_a_non_prime_alike(p):
+    form = DiagonalForm.of(3)
+    for route in (solvable_over_Qp, local_oracle):
+        with pytest.raises(ValueError, match=re.escape(f"{p!r} is not a prime")):
+            route(form, p)
 
 
 def test_local_fixed_verdicts():
@@ -168,31 +179,63 @@ _NEAR_GUARD = (_INT64_GUARD - 1) // (2 * 2 * 3)
 
 
 @given(
-    st.lists(nonzero_digit | huge, min_size=1, max_size=4),
+    st.tuples(
+        st.lists(nonzero_digit | huge, min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=10),
+    )
+    # ranks 5-7 at low heights: rank 7 now meets in the middle wherever its
+    # tables fit the budget
+    | st.tuples(
+        st.lists(nonzero_digit | huge, min_size=5, max_size=7),
+        st.integers(min_value=1, max_value=3),
+    ),
     st.integers(min_value=1, max_value=12),
-    st.integers(min_value=1, max_value=10),
 )
-@example([-5, 2], 3, 2)  # only hit -5 + 8 = 3 * 1^2 sits on the low edge of its window
-@example([1, 7], 2, 2)  # only hit 1 + 7 = 2 * 2^2 sits on the high edge of its window
-@example([10**6, -(10**9)], 12, 10)  # no window holds a right value
-@example([10**6, 1 - 10**6], 1, 10)  # huge entries that still meet at d = 1
-@example([_NEAR_GUARD, 3 - _NEAR_GUARD], 3, 2)
-@example([_NEAR_GUARD, -_NEAR_GUARD], 2, 2)
+@example(([-5, 2], 2), 3)  # only hit -5 + 8 = 3 * 1^2 sits on the low edge of its window
+@example(([1, 7], 2), 2)  # only hit 1 + 7 = 2 * 2^2 sits on the high edge of its window
+@example(([10**6, -(10**9)], 10), 12)  # no window holds a right value
+@example(([10**6, 1 - 10**6], 10), 1)  # huge entries that still meet at d = 1
+@example(([_NEAR_GUARD, 3 - _NEAR_GUARD], 2), 3)
+@example(([_NEAR_GUARD, -_NEAR_GUARD], 2), 2)
 @settings(max_examples=200, deadline=None)
-def test_denominator_scan_routes_agree(coeffs, scale, height):
-    # the depth-first scan is the oracle for the windowed meet in the middle
+def test_denominator_scan_routes_agree(case, scale):
+    # the depth-first scan is the oracle for the windowed meet in the middle,
+    # and for the witness it rebuilds from its tables
+    coeffs, height = case
     worst = max(abs(c) for c in coeffs + [scale]) * height * height * (len(coeffs) + 1)
     assert worst < _INT64_GUARD  # the only inputs search_point sends to MITM
-    mitm = _first_denominator_mitm(coeffs, scale, height)
-    dfs = _first_denominator_dfs(coeffs, scale, height)
+    mitm = _mitm_point(coeffs, scale, height, [_SEARCH_BUDGET])
+    dfs = _dfs_point(coeffs, scale, height, [_SEARCH_BUDGET])
     assert mitm == dfs
 
 
-def unpruned_first_denominator(coeffs, scale, height):
-    """Every denominator in turn, with no content check."""
+@given(
+    st.lists(nonzero_digit, min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=1, max_value=5),
+)
+@example([2, 3, 5, 7], 9, 3)
+@example([1, -3], 1, 5)
+@settings(max_examples=200, deadline=None)
+def test_lex_smallest_matches_enumeration(coeffs, target, height):
+    # the interval scan against every vector, in lexicographic order
+    expected = next(
+        (
+            list(c)
+            for c in itertools.product(range(height + 1), repeat=len(coeffs))
+            if sum(a * x * x for a, x in zip(coeffs, c)) == target
+        ),
+        None,
+    )
+    assert _lex_smallest(coeffs, target, height, [_SEARCH_BUDGET]) == expected
+
+
+def unpruned_first_point(coeffs, scale, height):
+    """Every denominator in turn, with no content check: (d, numerators)."""
     for d in range(1, height + 1):
-        if _lex_smallest(coeffs, scale * d * d, height) is not None:
-            return d
+        numerators = _lex_smallest(coeffs, scale * d * d, height, [_SEARCH_BUDGET])
+        if numerators is not None:
+            return d, numerators
     return None
 
 
@@ -205,24 +248,39 @@ def test_content_skip_keeps_search_results(form, g, height):
     scaled = DiagonalForm(tuple(g * a for a in form.entries))
     scale = math.lcm(*(a.denominator for a in scaled.entries))
     coeffs = [int(a * scale) for a in scaled.entries]
-    d = unpruned_first_denominator(coeffs, scale, height)
-    assert _first_denominator_dfs(coeffs, scale, height) == d
-    assert _first_denominator_mitm(coeffs, scale, height) == d
-    if d is None:
+    point = unpruned_first_point(coeffs, scale, height)
+    assert _dfs_point(coeffs, scale, height, [_SEARCH_BUDGET]) == point
+    assert _mitm_point(coeffs, scale, height, [_SEARCH_BUDGET]) == point
+    if point is None:
         assert search_point(scaled, height) is None
     else:
-        numerators = _lex_smallest(coeffs, scale * d * d, height)
+        d, numerators = point
         assert search_point(scaled, height) == tuple(Fraction(c, d) for c in numerators)
 
 
 def test_oversized_search_refused_before_allocation():
     # (1448 + 1)^2 entries in each half table: at rank 4 the least height
-    # past the cap
+    # past the budget, so the depth-first scan runs instead, and on this form
+    # it spends the budget before it finds a point
     with pytest.raises(SearchBudgetExceeded, match="2097152"):
-        search_point(DiagonalForm.of(1, 1, 1, -3), 1448)
+        search_point(DiagonalForm.of(3, 5, 7, -1000003), 1448)
+    # the certificate keeps its verdict without a witness
+    cert = solvable_over_Q(DiagonalForm.of(3, 5, 7, -1000003), search_height=1448)
+    assert cert.verdict and cert.witness is None
+    # where the tables would take 6.71 GiB, a cheap point is still found
+    assert search_point(DiagonalForm.of(1, 1, 1, -3), 30000) == (0, 0, 1, 0)
     # the content 1000003 leaves no denominator up to the height: nothing to
     # build, so nothing is refused
     assert search_point(DiagonalForm.of(1000003, 1000003, -1000003), 30000) is None
+
+
+def test_witness_the_tables_prove_is_returned():
+    # the tables prove d = 1; a plain depth-first search for the least
+    # numerators at that d spends more than the whole budget, the rebuild
+    # over the left prefixes the right table completes costs about 4000 units
+    form = DiagonalForm.of("11/5", "-9/4", "24/5", 2, 6, "11/3")
+    assert search_point(form, 100) == (1, 6, 1, 3, 2, 3)
+    assert solvable_over_Q(form).witness == (1, 6, 1, 3, 2, 3)
 
 
 def test_point_search_leaves_numpy_ma_unimported():
