@@ -101,7 +101,7 @@ def _cmd_hw(args) -> dict:
     form = form_from_json(args.form)
     field = BaseField.parse(args.field)
     vector = hasse_witt_vector(form, field)
-    top = top_obstruction(form, field)
+    top = vector[form.rank]  # HW_n is the full cup product of the n entries
     return {
         "form": form_to_json(form),
         "field": str(field),

@@ -294,16 +294,10 @@ def reciprocity_holds(a: Rational | int | str, b: Rational | int | str) -> bool:
 
 def cohclass_to_json(c: CohClass) -> dict:
     """JSON document for a class: field, degree, and the payload in readable form."""
-    doc: dict = {"field": str(c.field), "degree": c.degree, "zero": is_zero(c)}
-    if c.field.kind == "Qp" and c.degree >= 3:
-        doc["payload"] = None
-    elif c.degree == 1 and c.field.kind != "R":
-        doc["payload"] = c.payload
-    elif c.field.kind == "Q" and c.degree == 2:
-        doc["payload"] = [str(v) for v in sorted(c.payload)]
-    else:
-        doc["payload"] = c.payload
-    return doc
+    pay = c.payload
+    if isinstance(pay, frozenset):
+        pay = [str(v) for v in sorted(pay)]
+    return {"field": str(c.field), "degree": c.degree, "zero": is_zero(c), "payload": pay}
 
 
 def cohclass_from_json(doc: dict) -> CohClass:

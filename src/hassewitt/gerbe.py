@@ -14,6 +14,7 @@ Everything is small enough to check exhaustively, and the tests do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 # fourth roots of unity as exponents of i
@@ -240,13 +241,14 @@ def coboundary(phi: dict[GaloisElement, int]) -> TwoCocycle:
     )
 
 
-def _all_coboundaries() -> set[TwoCocycle]:
+@lru_cache(maxsize=1)
+def _all_coboundaries() -> frozenset[TwoCocycle]:
     out = set()
     for bits in product((0, 1), repeat=3):
         phi = dict(zip((SIGMA_A, SIGMA_B, SIGMA_AB), bits))
         phi[IDENTITY] = 0
         out.add(coboundary(phi))
-    return out
+    return frozenset(out)
 
 
 def cohomologous(c1: TwoCocycle, c2: TwoCocycle) -> bool:

@@ -25,7 +25,7 @@ _INT64_GUARD = 2**62
 # one work budget per point search. The meet-in-the-middle route is taken only
 # when its larger half table fits in this many entries: a rank-6 search at
 # height 127 (128^3 = 2^21 entries) peaks at 109 MB resident and a rank-2 one
-# at height 2,090,000 at 141 MB, 28 MB after import. Depth-first steps spend
+# at height 2,090,000 at 111 MB, 28 MB after import. Depth-first steps spend
 # one unit per call, and the whole budget goes in about 0.3 s with small
 # coefficients and about 1.7 s with 15-digit ones (2-CPU Xeon, Python 3.11).
 _SEARCH_BUDGET = 2**21
@@ -114,7 +114,10 @@ def solvable_over_Q(
     and a bounded point search tries to attach a witness (absence of a
     witness within the height bound, or a search that runs out of its work
     budget, proves nothing and demotes nothing: the witness is None).
+    A search_height below 1 raises ValueError before any place is checked.
     """
+    if search_height < 1:
+        raise ValueError("height must be positive")
     checked: list[Place] = []
     for v in relevant_places(form):
         checked.append(v)
@@ -187,13 +190,23 @@ def _denominators(coeffs: list[int], scale: int, height: int, budget: list[int])
     return range(first, height + 1, first)
 
 
+def _at_least(table: np.ndarray, x):
+    """The least entry of the sorted table at or above x, clamped to the last
+    entry, for a scalar or an array x: x is in the table iff the result is x.
+    Searching all but the last entry makes the clamp: past them lies the last."""
+    return table[np.searchsorted(table[:-1], x)]
+
+
 def _mitm_point(
     coeffs: list[int], scale: int, height: int, budget: list[int]
 ) -> tuple[int, list[int]] | None:
     # meet in the middle on sorted half tables (Horowitz-Sahni). Every target
     # scale*d^2 lies in [scale, scale*h^2], so a left value l can only meet a
-    # right value inside [scale - l, scale*h^2 - l]: keep the distinct left
-    # values whose window holds one, then probe each denominator with those.
+    # right value inside [scale - l, scale*h^2 - l]. The window holds one iff
+    # the least right value at or above scale - l is at most scale*h^2 - l,
+    # one binary search per l. Keep the distinct left values whose window
+    # holds one, freeing those least values before the probes, then probe
+    # each denominator with them, again one binary search per left value.
     # search_point takes this route only when the tables fit the budget
     denominators = _denominators(coeffs, scale, height, budget)
     if not denominators:
@@ -201,9 +214,10 @@ def _mitm_point(
     split = len(coeffs) // 2
     left = np.sort(_half_values(coeffs[:split], height))
     right = np.sort(_half_values(coeffs[split:], height))
-    reach = np.searchsorted(right, scale * height * height - left, side="right")
-    reach -= np.searchsorted(right, scale - left, side="left")
-    keep = reach > 0
+    low = _at_least(right, scale - left)
+    keep = scale - left <= low
+    keep &= low <= scale * height * height - left
+    del low
     keep[1:] &= left[1:] != left[:-1]
     left = left[keep]
     if left.size == 0:
@@ -211,9 +225,7 @@ def _mitm_point(
     for d in denominators:
         _spend(budget, 1 + left.size // _PROBES_PER_UNIT, height)
         targets = scale * d * d - left
-        idx = np.searchsorted(right, targets)
-        idx = np.minimum(idx, len(right) - 1)
-        if bool(np.any(right[idx] == targets)):
+        if np.any(_at_least(right, targets) == targets):
             break
     else:
         return None
@@ -266,8 +278,7 @@ def _lex_smallest(
 
     def tail(i: int, rest: int) -> list[int] | None:
         if i == m:
-            k = int(np.searchsorted(right, rest))
-            return [] if k < len(right) and right[k] == rest else None
+            return [] if _at_least(right, rest) == rest else None
         a = coeffs[i]
         if i == m - 1 and right is None:
             q, r = divmod(rest, a)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hassewitt.solvability import (
     _INT64_GUARD,
     _SEARCH_BUDGET,
     SearchBudgetExceeded,
+    _at_least,
     _dfs_point,
     _lex_smallest,
     _mitm_point,
@@ -142,6 +144,13 @@ def test_witness_is_height_bounded_not_semantics():
     assert hi.verdict and hi.witness == (Fraction(2, 13), Fraction(3, 13))
 
 
+def test_search_height_checked_before_any_place():
+    # a false verdict (Q_2 fails) and a true one refuse height 0 alike
+    for form in (DiagonalForm.of(3, 3, -1), DiagonalForm.of(1)):
+        with pytest.raises(ValueError, match="height must be positive"):
+            solvable_over_Q(form, search_height=0)
+
+
 def test_search_fixed_points():
     assert search_point(DiagonalForm.of(1, 1), 3) == (Fraction(0), Fraction(1))
     assert search_point(DiagonalForm.of(5, 5), 5) == (Fraction(1, 5), Fraction(2, 5))
@@ -207,6 +216,22 @@ def test_denominator_scan_routes_agree(case, scale):
     mitm = _mitm_point(coeffs, scale, height, [_SEARCH_BUDGET])
     dfs = _dfs_point(coeffs, scale, height, [_SEARCH_BUDGET])
     assert mitm == dfs
+
+
+@given(
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8),
+)
+@example([3, 3, 3], [-9, 2, 3, 4, 9])  # below, in and above a one-value table
+def test_at_least_answers_membership(values, xs):
+    # draws from a narrow range repeat, so the tables hold duplicates, and
+    # the probes fall below the minimum, above the maximum and in between
+    table = np.sort(np.array(values, dtype=np.int64))
+    for x in xs:
+        assert _at_least(table, x) == min((v for v in values if v >= x), default=max(values))
+        assert (_at_least(table, x) == x) == (x in values)
+    probes = np.array(xs, dtype=np.int64)
+    assert ((_at_least(table, probes) == probes) == np.isin(probes, table)).all()
 
 
 @given(
