@@ -24,9 +24,9 @@ print("( 3,  3) at 3:  ", hilbert_symbol(3, 3, Place.finite(3)))
 print("(1/2, 3/4) at 2:", hilbert_symbol(Fraction(1, 2), Fraction(3, 4), Place.finite(2)))
 print("( 2,   3)  at 2:", hilbert_symbol(2, 3, Place.finite(2)))
 
-# the full table at 2 over the eight square classes; this table is not
-# transcribed anywhere in the package, it is computed from the residue
-# oracle the first time a dyadic symbol is requested
+# the full table at 2 over the eight square classes; the package stores no
+# table, each entry comes from Serre's dyadic formula in the valuations and
+# the units mod 8, and the tests check all 64 against the residue oracle
 print("\nsymbols at 2 over the square classes", TWO_ADIC_REPS)
 for a in TWO_ADIC_REPS:
     row = " ".join(f"{hilbert_symbol(a, b, Place.finite(2)):+d}" for b in TWO_ADIC_REPS)

@@ -16,16 +16,16 @@ invariants that classify them:
 On symbol classes this encoding is faithful and the cup/add rules below are
 the honest induced operations. Nothing outside symbol classes is
 representable, and no routine here pretends otherwise.
+
+Hilbert symbols come from closed formulas at every place, 2 included, never
+from the brute-force residue oracle: the tests hold the two against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import gcd, prod
 
-from .localsolve import represents_one
 from .rationals import (
     REAL_PLACE,
     Place,
@@ -105,30 +105,22 @@ def hilbert_symbol(a: Rational | int | str, b: Rational | int | str, v: Place) -
 
 
 def _finite_symbol(a: Rational, b: Rational, p: int) -> int:
-    # (a, b)_p for nonzero a, b and a certified prime p
+    # (a, b)_p for nonzero a, b and a certified prime p, by the closed
+    # formulas of Serre, A Course in Arithmetic, III.1.2, Theorem 1
+    k = 3 if p == 2 else 1
+    alpha, u = _split(a, p, k)
+    beta, w = _split(b, p, k)
     if p == 2:
-        return _two_adic_table()[two_adic_class(a), two_adic_class(b)]
-    # the tame formula (Serre, A Course in Arithmetic, III.1.2)
-    alpha, u = _split(a, p)
-    beta, w = _split(b, p)
+        # -1 iff eps(u) eps(w) + alpha omega(w) + beta omega(u) is odd, with
+        # eps(u) = [u = 3 mod 4] and omega(u) = [u = +-3 mod 8]
+        odd = (u % 4 == 3 and w % 4 == 3) + alpha * (w in (3, 5)) + beta * (u in (3, 5))
+        return -1 if odd % 2 else 1
     sign = -1 if alpha % 2 and beta % 2 and p % 4 == 3 else 1
     if beta % 2:
         sign *= _legendre(u, p)
     if alpha % 2:
         sign *= _legendre(w, p)
     return sign
-
-
-@lru_cache(maxsize=1)
-def _two_adic_table() -> dict[tuple[int, int], int]:
-    # Generated, not transcribed: each entry is the brute-force local verdict
-    # for z^2 = a x^2 + b y^2 over Q_2 on canonical square-class reps.
-    table = {}
-    for a in TWO_ADIC_REPS:
-        for b in TWO_ADIC_REPS:
-            solvable = represents_one([Fraction(a), Fraction(b)], 2)
-            table[a, b] = 1 if solvable else -1
-    return table
 
 
 def two_adic_class(q: Rational | int | str) -> int:
@@ -159,13 +151,6 @@ def _padic_class_rep(q: Rational, p: int) -> int:
     return (p if v % 2 else 1) * unit
 
 
-def _qp_reps(p: int) -> tuple[int, ...]:
-    if p == 2:
-        return TWO_ADIC_REPS
-    u = _least_nonresidue(p)  # p certified by BaseField
-    return (1, u, p, u * p)
-
-
 @dataclass(frozen=True)
 class CohClass:
     """A mod-2 cohomology class over Q, Q_p or R, stored by its classifying invariant."""
@@ -190,7 +175,7 @@ class CohClass:
             if kind == "Q":
                 if squarefree_part(pay) != pay:
                     raise ValueError(f"{pay} is not square-free")
-            elif pay not in _qp_reps(self.field.p):
+            elif pay == 0 or _padic_class_rep(pay, self.field.p) != pay:
                 raise ValueError(f"{pay} is not a canonical rep at p={self.field.p}")
         else:  # (Q, 2)
             if not isinstance(pay, frozenset) or not all(

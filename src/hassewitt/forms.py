@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 from math import prod
+from operator import mul
 
 from .cohomology import hilbert_symbol
 from .rationals import Place, Rational, as_rational, format_rational, squarefree_part
@@ -152,8 +153,10 @@ def discriminant(form: DiagonalForm) -> int:
 
 
 def hasse_invariant(form: DiagonalForm, v: Place) -> int:
-    """Product of (a_i, a_j)_v over i < j; the empty product for rank 1."""
-    return prod(hilbert_symbol(a, b, v) for a, b in combinations(form.entries, 2))
+    """Product of (a_i, a_j)_v over i < j; the empty product for rank 1.
+    By bimultiplicativity that is the product over j of (a_1...a_{j-1}, a_j)_v."""
+    heads = accumulate(form.entries, mul)
+    return prod(hilbert_symbol(h, a, v) for h, a in zip(heads, form.entries[1:]))
 
 
 def form_to_json(form: DiagonalForm) -> list[str]:

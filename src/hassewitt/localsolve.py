@@ -6,9 +6,9 @@ exact p-adic zero once the precision exceeds twice the valuation of the
 relevant partial derivative. The search runs in exact Python integers and
 keeps one table entry per orbit of Z/p^k under multiplication by unit
 squares; the orbits are found by brute force, not by a formula. Nothing in
-here consults a symbol formula; this module is the independent oracle the
-closed-form routes are tested against, and the generator the 2-adic Hilbert
-table is built from.
+here consults a symbol formula, and no closed-form route consults this
+module: it is the independent oracle those routes are tested against, called
+only by solvability.local_oracle and the tests.
 """
 
 from __future__ import annotations

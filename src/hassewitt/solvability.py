@@ -75,18 +75,22 @@ def solvable_over_Qp(form: DiagonalForm, p: int) -> bool:
     (-1, -disc)_p equals the Hasse invariant; rank 4 iff disc is nontrivial or
     the Hasse invariant equals (-1, -1)_p; rank >= 5 always.
     """
+    return _solvable_at(form, Place.finite(p))
+
+
+def _solvable_at(form: DiagonalForm, v: Place) -> bool:
+    # solvable_over_Qp at a finite place, whose prime the Place certified
     e = DiagonalForm(form.entries + (Fraction(-1),))
-    v = Place.finite(p)  # certifies p for the unchecked class reps below
     r = e.rank
     if r >= 5:
         return True
     d = math.prod(e.entries, start=Fraction(1))
     if r == 2:
-        return _padic_class_rep(-d, p) == 1
+        return _padic_class_rep(-d, v.p) == 1
     eps = hasse_invariant(e, v)
     if r == 3:
         return hilbert_symbol(-1, -d, v) == eps
-    return _padic_class_rep(d, p) != 1 or eps == hilbert_symbol(-1, -1, v)
+    return _padic_class_rep(d, v.p) != 1 or eps == hilbert_symbol(-1, -1, v)
 
 
 def local_oracle(form: DiagonalForm, p: int, k: int | None = None) -> bool:
@@ -121,7 +125,7 @@ def solvable_over_Q(
     checked: list[Place] = []
     for v in relevant_places(form):
         checked.append(v)
-        ok = solvable_over_R(form) if v.is_real else solvable_over_Qp(form, v.p)
+        ok = solvable_over_R(form) if v.is_real else _solvable_at(form, v)
         if not ok:
             return SolvabilityCertificate(False, None, v, tuple(checked))
     try:
@@ -262,8 +266,8 @@ def _lex_smallest(
     Given right, the sorted values that further coordinates can add, the
     smallest c whose remainder target - sum coeffs_i c_i^2 right holds.
     Each coordinate runs only over the interval of values the later ones can
-    still complete, so every value tried is a call: the search spends a unit
-    for itself and, at each interior node, one per child before it calls any."""
+    still complete, so every value tried is a node: the search spends a unit
+    for itself and, at each interior node, one per child before it visits any."""
     _spend(budget, 1, height)
     m = len(coeffs)
     h2 = height * height
@@ -276,31 +280,38 @@ def _lex_smallest(
         hi[i] = hi[i + 1] + (coeffs[i] * h2 if coeffs[i] > 0 else 0)
         lo[i] = lo[i + 1] + (coeffs[i] * h2 if coeffs[i] < 0 else 0)
 
-    def tail(i: int, rest: int) -> list[int] | None:
-        if i == m:
-            return [] if _at_least(right, rest) == rest else None
-        a = coeffs[i]
-        if i == m - 1 and right is None:
-            q, r = divmod(rest, a)
-            if r != 0 or q < 0:
-                return None
-            root = math.isqrt(q)
-            return [root] if root * root == q and root <= height else None
-        # the tail can make up rest - a*c^2 iff it lies in [lo, hi] of the
-        # next coordinate, that is iff |a|*c^2 lies in [low, high]
-        if a > 0:
-            low, high = rest - hi[i + 1], rest - lo[i + 1]
+    # depth first, on an explicit stack so that the rank never meets the
+    # recursion limit: levels[i] holds the rest before coordinate i and the
+    # values of it left to try. The last step is closed form
+    stop = m if right is not None else m - 1
+    path, levels, rest = [0] * stop, [], target
+    while True:
+        i = len(levels)
+        if i < stop:
+            # the tail can make up rest - a*c^2 iff it lies in [lo, hi] of the
+            # next coordinate, that is iff |a|*c^2 lies in [low, high]
+            a = coeffs[i]
+            if a > 0:
+                low, high = rest - hi[i + 1], rest - lo[i + 1]
+            else:
+                low, high = lo[i + 1] - rest, hi[i + 1] - rest
+            first = 0 if low <= 0 else math.isqrt((low - 1) // abs(a)) + 1
+            last = min(height, math.isqrt(high // abs(a))) if high >= 0 else -1
+            _spend(budget, max(last - first + 1, 0), height)
+            levels.append((rest, iter(range(first, last + 1))))
+        elif right is not None:
+            if _at_least(right, rest) == rest:
+                return path
+        else:  # the last coordinate alone makes up rest
+            q, r = divmod(rest, coeffs[-1])
+            if r == 0 and 0 <= q <= h2 and math.isqrt(q) ** 2 == q:
+                return path + [math.isqrt(q)]
+        while levels:
+            i = len(levels) - 1
+            c = next(levels[i][1], None)
+            if c is not None:
+                path[i], rest = c, levels[i][0] - coeffs[i] * c * c
+                break
+            levels.pop()
         else:
-            low, high = lo[i + 1] - rest, hi[i + 1] - rest
-        if high < 0:
             return None
-        first = 0 if low <= 0 else math.isqrt((low - 1) // abs(a)) + 1
-        last = min(height, math.isqrt(high // abs(a)))
-        _spend(budget, max(last - first + 1, 0), height)
-        for c in range(first, last + 1):
-            found = tail(i + 1, rest - a * c * c)
-            if found is not None:
-                return [c] + found
-        return None
-
-    return tail(0, target)

@@ -170,6 +170,13 @@ def test_solvable_outputs(capsys):
     validate("solvable", doc)
 
 
+def test_solvable_answers_past_the_recursion_limit(capsys):
+    n = 1100
+    doc = run_json(capsys, "solvable", "--form", json.dumps([1] * n))
+    assert doc["solvable"] is True
+    assert doc["witness"] == ["0"] * (n - 1) + ["1"]
+
+
 def test_gerbe_commands(capsys):
     doc = run_json(capsys, "gerbe-verify")
     assert doc["verified"] is True

@@ -71,8 +71,9 @@ def test_hilbert_fixed_values():
         hilbert_symbol(0, 1, REAL_PLACE)
 
 
-def test_two_adic_table_is_generated_consistently():
-    # every table entry must agree with the brute-force oracle it came from
+def test_dyadic_formula_matches_the_residue_oracle():
+    # Serre's closed formula at 2 against the residue search, on every pair of
+    # square classes
     for a in TWO_ADIC_REPS:
         for b in TWO_ADIC_REPS:
             expected = 1 if represents_one([Fraction(a), Fraction(b)], 2) else -1

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,20 @@ def test_hasse_invariant_of_orthogonal_sum(e1, e2, v):
     lhs = hasse_invariant(f1.concat(f2), v)
     rhs = hasse_invariant(f1, v) * hasse_invariant(f2, v) * hilbert_symbol(d1, d2, v)
     assert lhs == rhs
+
+
+@given(
+    st.lists(entry.filter(lambda q: q != 0), min_size=1, max_size=7),
+    st.sampled_from(
+        (REAL_PLACE, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(7))
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_hasse_invariant_is_the_pairwise_product(entries, v):
+    # the definition, literally: one symbol per pair i < j
+    form = DiagonalForm(tuple(entries))
+    literal = prod(hilbert_symbol(a, b, v) for a, b in combinations(entries, 2))
+    assert hasse_invariant(form, v) == literal
 
 
 def test_json_round_trips():

@@ -1,11 +1,14 @@
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hassewitt
 from hassewitt.localsolve import (
     MAX_MODULUS,
     InconclusivePrecisionError,
@@ -275,3 +278,18 @@ def test_orbit_tables_match_residue_tables(precision, terms):
     p, k = precision
     coeffs = [c * p**e for c, e in terms]
     assert outcome(isotropic, coeffs, p, k) == outcome(residue_table_isotropic, coeffs, p, k)
+
+
+@pytest.mark.parametrize("module", ("rationals", "cohomology", "forms", "hasse_witt"))
+def test_closed_form_route_never_imports_the_oracle(module):
+    # the closed-form route and the residue oracle check each other only while
+    # neither is built from the other
+    source = Path(hassewitt.__file__).with_name(f"{module}.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [a.name for a in node.names]
+        else:
+            continue
+        assert "localsolve" not in names, f"{module} imports the residue oracle"

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hassewitt
+from hassewitt import rationals, solvability
 from hassewitt.forms import DiagonalForm
 from hassewitt.rationals import REAL_PLACE, Place
 from hassewitt.solvability import (
@@ -134,6 +135,27 @@ def test_global_fixed_certificates():
 
     c = solvable_over_Q(DiagonalForm.of(5, 5))
     assert c.verdict and c.witness == (Fraction(1, 5), Fraction(2, 5))
+
+
+def test_local_checks_certify_no_prime(monkeypatch):
+    # relevant_places certifies each prime once; the local checks reuse it
+    form = DiagonalForm.of(3 * 5, 7, Fraction(-11, 13), 2)
+    places = relevant_places(form)
+    calls = []
+    is_prime = rationals.is_prime
+    monkeypatch.setattr(solvability, "relevant_places", lambda f: places)
+    monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    certificate = solvable_over_Q(form, search_height=3)
+    assert calls == []
+    assert certificate.checked_places == tuple(places)
+
+
+def test_rank_past_the_recursion_limit_gets_its_witness():
+    # the depth-first scan keeps its own stack, one level per coordinate
+    n = 1100
+    certificate = solvable_over_Q(DiagonalForm.of(*[1] * n))
+    assert certificate.verdict
+    assert certificate.witness == (Fraction(0),) * (n - 1) + (Fraction(1),)
 
 
 def test_witness_is_height_bounded_not_semantics():
