@@ -4,7 +4,9 @@ Scope restriction, deliberately part of the API: classes here are symbol
 classes (sums of cup products of degree-1 square classes), stored by the
 invariants that classify them:
 
-  * degree 1 over Q: a square-free integer (the square class);
+  * degree 1 over Q: the set of places of [a], the primes p with v_p(a) odd
+    and the real place when a < 0. h1 factors a once; add is symmetric
+    difference. JSON shows it as the square-free integer, the signed product;
   * degree 1 over Q_p: a canonical square-class representative;
   * degree 1 over R: one bit (sign);
   * degree 2 over Q: the finite, even-sized set of places where the local
@@ -24,7 +26,7 @@ from the brute-force residue oracle: the tests hold the two against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 from .rationals import (
     REAL_PLACE,
@@ -32,11 +34,11 @@ from .rationals import (
     Rational,
     _least_nonresidue,
     _legendre,
+    _odd_primes,
     _require_prime,
     _split,
     as_rational,
     ramified_places,
-    squarefree_part,
 )
 
 TWO_ADIC_REPS = (1, -1, 2, -2, 5, -5, 10, -10)
@@ -91,6 +93,7 @@ class BaseField:
 
 RATIONALS = BaseField.rationals()
 REALS = BaseField.reals()
+_TWO = Place.finite(2)
 
 
 def hilbert_symbol(a: Rational | int | str, b: Rational | int | str, v: Place) -> int:
@@ -169,20 +172,17 @@ class CohClass:
         elif kind == "Qp" and d >= 3:
             if pay is not None:
                 raise ValueError("H^d(Q_p) vanishes for d >= 3; payload must be None")
-        elif d == 1:
+        elif kind == "Qp":  # degree 1
             if not isinstance(pay, int) or isinstance(pay, bool):
-                raise ValueError("degree-1 payload is an integer square-class rep")
-            if kind == "Q":
-                if squarefree_part(pay) != pay:
-                    raise ValueError(f"{pay} is not square-free")
-            elif pay == 0 or _padic_class_rep(pay, self.field.p) != pay:
+                raise ValueError("degree-1 payload over Q_p is an integer square-class rep")
+            if pay == 0 or _padic_class_rep(pay, self.field.p) != pay:
                 raise ValueError(f"{pay} is not a canonical rep at p={self.field.p}")
-        else:  # (Q, 2)
+        else:  # (Q, 1) or (Q, 2)
             if not isinstance(pay, frozenset) or not all(
                 isinstance(v, Place) for v in pay
             ):
-                raise ValueError("degree-2 payload over Q is a frozenset of places")
-            if len(pay) % 2:
+                raise ValueError(f"degree-{d} payload over Q is a frozenset of places")
+            if d == 2 and len(pay) % 2:
                 raise ValueError("local invariants must flip at an even number of places")
 
 
@@ -193,10 +193,10 @@ def zero_class(field: BaseField, degree: int) -> CohClass:
     kind = field.kind
     if kind == "Qp" and degree >= 3:
         return CohClass(field, degree, None)
-    if degree == 1 and kind != "R":
+    if degree == 1 and kind == "Qp":
         return CohClass(field, 1, 1)
-    if degree == 2 and kind == "Q":
-        return CohClass(field, 2, frozenset())
+    if degree <= 2 and kind == "Q":
+        return CohClass(field, degree, frozenset())
     return CohClass(field, degree, 0)
 
 
@@ -211,7 +211,8 @@ def h1(a: Rational | int | str, field: BaseField) -> CohClass:
     if a == 0:
         raise ValueError("[0] is not a cohomology class")
     if field.kind == "Q":
-        return CohClass(field, 1, squarefree_part(a))
+        sign = (REAL_PLACE,) if a < 0 else ()
+        return CohClass(field, 1, frozenset((*sign, *map(Place.finite, _odd_primes(a)))))
     if field.kind == "Qp":
         return CohClass(field, 1, _padic_class_rep(a, field.p))  # p certified by BaseField
     return CohClass(field, 1, 1 if a < 0 else 0)
@@ -223,18 +224,15 @@ def _real_invariant(c: CohClass) -> int:
         return c.payload
     if c.field.kind == "Qp":
         raise ValueError("no real place on Q_p")
-    if c.degree == 1:
-        return 1 if c.payload < 0 else 0
-    if c.degree == 2:
+    if c.degree <= 2:
         return 1 if REAL_PLACE in c.payload else 0
     return c.payload
 
 
-def _symbol_support(r1: int, r2: int) -> frozenset:
-    # places where (r1, r2)_v = -1
-    return frozenset(
-        v for v in ramified_places(r1, r2) if hilbert_symbol(r1, r2, v) == -1
-    )
+def _squarefree(places: frozenset) -> int:
+    # the square-free integer whose square class over Q is this place set
+    sign = -1 if REAL_PLACE in places else 1
+    return sign * prod(v.p for v in places if not v.is_real)
 
 
 def cup(c1: CohClass, c2: CohClass) -> CohClass:
@@ -251,7 +249,10 @@ def cup(c1: CohClass, c2: CohClass) -> CohClass:
         bit = _finite_symbol(c1.payload, c2.payload, field.p) == -1
         return CohClass(field, 2, int(bit))
     if d == 2:
-        return CohClass(field, 2, _symbol_support(c1.payload, c2.payload))
+        # (a, b)_v = +1 at every odd prime dividing neither a nor b
+        a, b = _squarefree(c1.payload), _squarefree(c2.payload)
+        places = c1.payload | c2.payload | {REAL_PLACE, _TWO}
+        return CohClass(field, 2, frozenset(v for v in places if hilbert_symbol(a, b, v) == -1))
     return CohClass(field, d, _real_invariant(c1) & _real_invariant(c2))
 
 
@@ -262,10 +263,6 @@ def add(c1: CohClass, c2: CohClass) -> CohClass:
     field, d = c1.field, c1.degree
     if field.kind == "Qp" and d >= 3:
         return c1
-    if d == 1 and field.kind == "Q":
-        # square-free a and b: a*b is g^2 times the square-free a*b/g^2
-        a, b = c1.payload, c2.payload
-        return CohClass(field, 1, a * b // gcd(a, b) ** 2)
     if d == 1 and field.kind == "Qp":
         return CohClass(field, 1, _padic_class_rep(c1.payload * c2.payload, field.p))
     # remaining groups are bits under xor, or place sets under symmetric difference
@@ -280,7 +277,9 @@ def reciprocity_holds(a: Rational | int | str, b: Rational | int | str) -> bool:
 def cohclass_to_json(c: CohClass) -> dict:
     """JSON document for a class: field, degree, and the payload in readable form."""
     pay = c.payload
-    if isinstance(pay, frozenset):
+    if c.field.kind == "Q" and c.degree == 1:
+        pay = _squarefree(pay)
+    elif isinstance(pay, frozenset):
         pay = [str(v) for v in sorted(pay)]
     return {"field": str(c.field), "degree": c.degree, "zero": is_zero(c), "payload": pay}
 
@@ -290,6 +289,13 @@ def cohclass_from_json(doc: dict) -> CohClass:
     field = BaseField.parse(doc["field"])
     degree = doc["degree"]
     pay = doc["payload"]
+    if field.kind == "Q" and degree == 1:
+        if not isinstance(pay, int) or isinstance(pay, bool) or pay == 0:
+            raise ValueError("degree-1 payload over Q is a nonzero square-free integer")
+        c = h1(pay, field)
+        if _squarefree(c.payload) != pay:
+            raise ValueError(f"{pay} is not square-free")
+        return c
     if isinstance(pay, list):
         pay = frozenset(Place.parse(s) for s in pay)
     return CohClass(field, degree, pay)

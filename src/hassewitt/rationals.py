@@ -194,12 +194,18 @@ def squarefree_part(q: Rational | int | str) -> int:
     q = as_rational(q)
     if q == 0:
         raise ValueError("squarefree_part of zero is undefined")
-    s = 1 if q > 0 else -1
-    for part in (q.numerator, q.denominator):
-        for p, e in factor(part).items():
-            if e % 2:
-                s *= p
-    return s
+    return (1 if q > 0 else -1) * math.prod(_odd_primes(q))
+
+
+def _odd_primes(q: Rational) -> list[int]:
+    """The primes p with v_p(q) odd, for nonzero q: the finite places of q's
+    square class. Numerator and denominator are coprime, so none repeats."""
+    return [
+        p
+        for part in (q.numerator, q.denominator)
+        for p, e in factor(part).items()
+        if e % 2
+    ]
 
 
 def _checked(q: Rational | int | str, p: int) -> Rational:
@@ -227,12 +233,6 @@ def padic_valuation(q: Rational | int | str, p: int) -> int:
     return _split(_checked(q, p), p)[0]
 
 
-def unit_part(q: Rational | int | str, p: int) -> Rational:
-    """q / p^{v_p(q)}, a p-adic unit."""
-    q = as_rational(q)
-    return q / Fraction(p) ** padic_valuation(q, p)
-
-
 def unit_residue(q: Rational | int | str, p: int, k: int = 1) -> int:
     """The unit part of q reduced mod p^k, inverting the (coprime) denominator."""
     return _split(_checked(q, p), p, k)[1]
@@ -252,14 +252,6 @@ def _legendre(a: int, p: int) -> int:
     # Euler's criterion for a certified odd prime p: r is 0, 1 or p - 1
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
-
-
-def smallest_nonresidue(p: int) -> int:
-    """Least positive quadratic nonresidue mod an odd prime."""
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("no nonresidues mod 2")
-    return _least_nonresidue(p)
 
 
 def _least_nonresidue(p: int) -> int:

@@ -75,7 +75,7 @@ def test_fresh_forms_leave_no_residue():
         return rng.choice((1, -1)) * rng.choice(primes) * rng.choice(primes)
 
     forms = [DiagonalForm.of(entry(), entry(), entry()) for _ in range(240)]
-    for form in forms[:40]:  # the lazy 2-adic table and imports settle here
+    for form in forms[:40]:  # imports and first-call allocations settle here
         solvable_over_Q(form)
     gc.collect()
     tracemalloc.start()

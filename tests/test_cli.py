@@ -208,6 +208,15 @@ def test_h1_and_hw_match_library(capsys):
     validate("hw", doc)
 
 
+def test_degree_one_over_q_prints_the_squarefree_integer(capsys):
+    _, out, _ = run(capsys, "h1", "-a", "-18", "--field", "Q")
+    assert out == '{"field": "Q", "degree": 1, "zero": false, "payload": -2}\n'
+    doc = run_json(capsys, "hw", "--form", "[-1,3,5]", "--field", "Q")
+    assert doc["hw"][0]["payload"] == -15
+    assert doc["hw"][1]["payload"] == ["2", "5"]
+    validate("hw", doc)
+
+
 coeff = st.fractions(min_value=-8, max_value=8, max_denominator=5).filter(
     lambda q: q != 0
 )

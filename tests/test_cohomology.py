@@ -143,11 +143,17 @@ def test_reciprocity(a, b):
 
 
 def test_h1_fixed_values():
-    assert h1(18, RATIONALS).payload == 2
+    assert h1(18, RATIONALS).payload == frozenset({Place.finite(2)})
+    assert h1(Fraction(-5, 27), RATIONALS).payload == frozenset(
+        {REAL_PLACE, Place.finite(3), Place.finite(5)}
+    )
     assert h1(-1, REALS).payload == 1
     assert h1(2, REALS).payload == 0
     assert h1(18, BaseField.padics(3)).payload == 2  # 18 = 2 * 3^2, 2 is a nonresidue mod 3
     assert h1(6, BaseField.padics(3)).payload == 6
+    # a nonresidue unit is represented by the least nonresidue: 3 mod 7 and mod 17
+    assert h1(5, BaseField.padics(7)).payload == 3
+    assert h1(5, BaseField.padics(17)).payload == 3
     assert is_zero(h1(4, RATIONALS))
     assert is_zero(h1(Fraction(9, 4), BaseField.padics(7)))
     with pytest.raises(ValueError):
@@ -168,17 +174,25 @@ def test_h1_is_multiplicative(a, b, field):
 
 
 # a sign times distinct primes, drawn so that two payloads often share some
-squarefree = st.tuples(
+signed_primes = st.tuples(
     st.sampled_from((1, -1)),
     st.sets(st.sampled_from((2, 3, 5, 7, 11, 13, 10007)), max_size=5),
-).map(lambda t: t[0] * math.prod(t[1]))
+)
 
 
-@given(squarefree, squarefree)
+def class_of(sign, primes):
+    # the class over Q of sign * prod(primes), built without factoring
+    places = {Place.finite(p) for p in primes} | ({REAL_PLACE} if sign < 0 else set())
+    return CohClass(RATIONALS, 1, frozenset(places))
+
+
+@given(signed_primes, signed_primes)
 @settings(max_examples=150)
 def test_degree_one_add_over_q_needs_no_factoring(a, b):
-    c = add(CohClass(RATIONALS, 1, a), CohClass(RATIONALS, 1, b))
-    assert c.payload == squarefree_part(a * b)
+    c = add(class_of(*a), class_of(*b))
+    product = a[0] * math.prod(a[1]) * b[0] * math.prod(b[1])
+    assert c == h1(product, RATIONALS)
+    assert cohclass_to_json(c)["payload"] == squarefree_part(product)
 
 
 def test_cup_fixed_values():
@@ -239,8 +253,8 @@ def test_q_cup_support_is_even_and_local(a, b):
 
 
 def test_cohclass_validation():
-    with pytest.raises(ValueError):
-        CohClass(RATIONALS, 1, 12)  # not square-free
+    with pytest.raises(ValueError, match="frozenset of places"):
+        CohClass(RATIONALS, 1, 6)  # an integer payload comes in through h1 or JSON only
     with pytest.raises(ValueError):
         CohClass(BaseField.padics(5), 1, 3)  # not a canonical rep at 5
     with pytest.raises(ValueError):
@@ -291,3 +305,20 @@ def test_json_round_trip():
         doc = cohclass_to_json(c)
         assert cohclass_from_json(doc) == c
         assert doc["zero"] == is_zero(c)
+
+
+def test_degree_one_json_over_q_is_the_squarefree_integer():
+    for c, payload in (
+        (h1(-30, RATIONALS), -30),
+        (h1(Fraction(5, 27), RATIONALS), 15),
+        (zero_class(RATIONALS, 1), 1),
+    ):
+        doc = cohclass_to_json(c)
+        assert doc["payload"] == payload
+        assert cohclass_from_json(doc) == c
+    doc = {"field": "Q", "degree": 1, "zero": False}
+    with pytest.raises(ValueError, match="not square-free"):
+        cohclass_from_json({**doc, "payload": 12})
+    for payload in (0, True, "6", ["2", "3"]):
+        with pytest.raises(ValueError):
+            cohclass_from_json({**doc, "payload": payload})

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -18,7 +19,7 @@ from hassewitt.cohomology import (
     is_zero,
     zero_class,
 )
-from hassewitt.forms import DiagonalForm
+from hassewitt.forms import DiagonalForm, hasse_invariant
 from hassewitt.hasse_witt import (
     MAX_RANK,
     FormalSymmetricPolynomial,
@@ -73,7 +74,7 @@ def test_vector_of_three_minus_ones_over_reals():
 
 def test_vector_of_three_minus_ones_over_q():
     v = hasse_witt_vector(DiagonalForm.of(-1, -1, -1), RATIONALS)
-    assert v[1].payload == -1
+    assert v[1].payload == frozenset({REAL_PLACE})
     assert v[2].payload == frozenset({REAL_PLACE, Place.finite(2)})
     assert v[3].payload == 1 and not is_zero(v[3])
 
@@ -147,6 +148,51 @@ def test_padic_vector_certifies_no_prime(monkeypatch, p):
     assert calls == []
     monkeypatch.undo()
     assert vector.classes == literal_vector(form, field)
+
+
+def test_rational_vector_factors_each_entry_once(monkeypatch):
+    # h1 factors each entry once; adds and cups over Q never factor
+    form = DiagonalForm.of(-30, Fraction(5, 27), 7 * 10007**2, -1, 2 * 10009 * 10037, 3)
+    calls = []
+    factor = rationals.factor
+    monkeypatch.setattr(rationals, "factor", lambda n: calls.append(n) or factor(n))
+    ones = [h1(a, RATIONALS) for a in form.entries]
+    from_h1 = len(calls)
+    hasse_witt_vector(form, RATIONALS)
+    assert len(calls) == 2 * from_h1
+    for x in ones:
+        for y in ones:
+            add(x, y)
+            add(cup(x, y), cup(y, x))
+            cup(cup(x, y), y)
+    assert len(calls) == 2 * from_h1
+
+
+def next_prime(n):
+    n += 1
+    while not rationals.is_prime(n):
+        n += 1
+    return n
+
+
+def test_rational_vector_of_products_of_ten_digit_primes():
+    # entries +-q1*q2: each factors within the rho budget, but a product of
+    # several entries need not, so every class is kept as the entry's places
+    rng = random.Random(3)
+    primes, entries = set(), []
+    for _ in range(8):
+        sign = rng.choice((1, -1))
+        q1 = next_prime(rng.randrange(10**9, 10**10))
+        q2 = next_prime(rng.randrange(10**9, 10**10))
+        primes |= {q1, q2}
+        entries.append(sign * q1 * q2)
+    form = DiagonalForm.of(*entries)
+    v = hasse_witt_vector(form, RATIONALS)
+    assert v[1] == reduce(add, (h1(a, RATIONALS) for a in entries))
+    assert v[8] == top_obstruction(form, RATIONALS)
+    # HW_2 is the sum of the pairwise cups: -1 exactly where the Hasse invariant is
+    places = [REAL_PLACE, Place.finite(2)] + [Place.finite(q) for q in sorted(primes)]
+    assert v[2].payload == {w for w in places if hasse_invariant(form, w) == -1}
 
 
 def test_whitney_fixed_example():

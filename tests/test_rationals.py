@@ -17,9 +17,7 @@ from hassewitt.rationals import (
     is_prime,
     legendre_symbol,
     padic_valuation,
-    smallest_nonresidue,
     squarefree_part,
-    unit_part,
     unit_residue,
 )
 
@@ -276,19 +274,12 @@ def test_valuation_is_additive(a, b, p):
     assert padic_valuation(a * b, p) == padic_valuation(a, p) + padic_valuation(b, p)
 
 
-@given(nonzero_rationals, small_primes)
-@settings(max_examples=200)
-def test_unit_part_decomposition(q, p):
-    u = unit_part(q, p)
-    assert padic_valuation(u, p) == 0
-    assert u * Fraction(p) ** padic_valuation(q, p) == q
-
-
 @given(nonzero_rationals, small_primes, st.integers(min_value=1, max_value=4))
 @settings(max_examples=200)
 def test_unit_residue_matches_unit_part(q, p, k):
     r = unit_residue(q, p, k)
-    u = unit_part(q, p)
+    u = q / Fraction(p) ** padic_valuation(q, p)
+    assert padic_valuation(u, p) == 0
     # r * den = num mod p^k
     assert (r * u.denominator - u.numerator) % p**k == 0
     assert 0 < r < p**k and r % p != 0
@@ -301,14 +292,6 @@ def test_legendre_is_multiplicative(a, p):
     assert legendre_symbol(a * p, p) == 0
     if a % p:
         assert legendre_symbol(a, p) in (1, -1)
-
-
-def test_smallest_nonresidue():
-    assert smallest_nonresidue(3) == 2
-    assert smallest_nonresidue(7) == 3
-    assert smallest_nonresidue(17) == 3
-    with pytest.raises(ValueError):
-        smallest_nonresidue(2)
 
 
 def test_place_basics():
