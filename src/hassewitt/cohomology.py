@@ -212,7 +212,7 @@ def h1(a: Rational | int | str, field: BaseField) -> CohClass:
         raise ValueError("[0] is not a cohomology class")
     if field.kind == "Q":
         sign = (REAL_PLACE,) if a < 0 else ()
-        return CohClass(field, 1, frozenset((*sign, *map(Place.finite, _odd_primes(a)))))
+        return CohClass(field, 1, frozenset((*sign, *map(Place._certified, _odd_primes(a)))))
     if field.kind == "Qp":
         return CohClass(field, 1, _padic_class_rep(a, field.p))  # p certified by BaseField
     return CohClass(field, 1, 1 if a < 0 else 0)

@@ -9,8 +9,8 @@ which is a proof below PSI_13 = 3317044064679887385961981 (Sorenson and
 Webster, Math. Comp. 2017); composites that are not small-prime multiples are
 split by Pollard's rho in Brent's form (Brent, BIT 1980) within a fixed
 iteration budget. Past either limit the answer is a FactorizationLimitError,
-never a guess. Each prime is certified once, where it enters; past that the
-symbol path runs on the unchecked _split, and nothing is cached.
+never a guess. Each prime is certified once, where it enters (factor, Place);
+past that places and the symbol path skip the check, and nothing is cached.
 """
 
 from __future__ import annotations
@@ -277,6 +277,11 @@ class Place:
     def finite(cls, p: int) -> "Place":
         return cls(p)
 
+    @classmethod
+    def _certified(cls, p: int) -> "Place":  # factor has just proved p prime
+        object.__setattr__(place := object.__new__(cls), "p", p)
+        return place
+
     @property
     def is_real(self) -> bool:
         return self.p is None
@@ -315,4 +320,4 @@ def ramified_places(*qs: Rational | int | str) -> list[Place]:
         q = as_rational(q)
         for part in (q.numerator, q.denominator):
             odd.update(p for p in factor(part) if p != 2)
-    return [REAL_PLACE, Place.finite(2)] + [Place.finite(p) for p in sorted(odd)]
+    return [REAL_PLACE, Place._certified(2)] + [Place._certified(p) for p in sorted(odd)]

@@ -30,9 +30,9 @@ _INT64_GUARD = 2**62
 # coefficients and about 1.7 s with 15-digit ones (2-CPU Xeon, Python 3.11).
 _SEARCH_BUDGET = 2**21
 # a meet in the middle spends one unit per this many left values it probes for
-# a denominator (3-40 ns each here, so the whole budget goes in 0.8-3.5 s). At
-# height 100 a rank-6 search probes at most 100 * 101^3 values, 1.6M units, so
-# every search whose tables fit at the default height answers
+# a denominator, the first included (3-40 ns each here). At height 100 a rank-6
+# search makes at most 100 probes of 101^3 values, 1.6M units, so every search
+# whose tables fit at the default height answers
 _PROBES_PER_UNIT = 64
 
 
@@ -195,53 +195,48 @@ def _denominators(coeffs: list[int], scale: int, height: int, budget: list[int])
 
 
 def _at_least(table: np.ndarray, x):
-    """The least entry of the sorted table at or above x, clamped to the last
-    entry, for a scalar or an array x: x is in the table iff the result is x.
-    Searching all but the last entry makes the clamp: past them lies the last."""
+    """The least entry of the sorted table at or above x, else the last entry,
+    found by searching all but the last: x is in the table iff the result is x."""
     return table[np.searchsorted(table[:-1], x)]
 
 
 def _mitm_point(
     coeffs: list[int], scale: int, height: int, budget: list[int]
 ) -> tuple[int, list[int]] | None:
-    # meet in the middle on sorted half tables (Horowitz-Sahni). Every target
-    # scale*d^2 lies in [scale, scale*h^2], so a left value l can only meet a
-    # right value inside [scale - l, scale*h^2 - l]. The window holds one iff
-    # the least right value at or above scale - l is at most scale*h^2 - l,
-    # one binary search per l. Keep the distinct left values whose window
-    # holds one, freeing those least values before the probes, then probe
-    # each denominator with them, again one binary search per left value.
-    # search_point takes this route only when the tables fit the budget
+    # meet in the middle on sorted half tables (Horowitz-Sahni), taken only when
+    # they fit the budget. A probe is one binary search per distinct left value
+    # l for the least right value at or above target - l. Targets only grow, so
+    # l leaves once target - l passes the last right value or, on a miss, the
+    # least sum l + r at or above the target passes scale*h^2
     denominators = _denominators(coeffs, scale, height, budget)
     if not denominators:
         return None
     split = len(coeffs) // 2
     left = np.sort(_half_values(coeffs[:split], height))
-    right = np.sort(_half_values(coeffs[split:], height))
-    low = _at_least(right, scale - left)
-    keep = scale - left <= low
-    keep &= low <= scale * height * height - left
-    del low
-    keep[1:] &= left[1:] != left[:-1]
+    keep = np.ones(left.size, dtype=bool)
+    np.not_equal(left[1:], left[:-1], out=keep[1:])
     left = left[keep]
-    if left.size == 0:
-        return None
+    right = np.sort(_half_values(coeffs[split:], height))
+    top = scale * height * height
     for d in denominators:
+        target = scale * d * d
+        left = left[np.searchsorted(left, target - right[-1]) :]
+        if left.size == 0:
+            return None
         _spend(budget, 1 + left.size // _PROBES_PER_UNIT, height)
-        targets = scale * d * d - left
-        if np.any(_at_least(right, targets) == targets):
-            break
-    else:
-        return None
-    # the least left prefix whose remainder the right table holds, then the
-    # least right vector that makes it up. The tables bound both searches, at
-    # a node per prefix of either half, and the router sized them against the
-    # budget, so a point the tables proved is rebuilt without spending (2^21
-    # left prefixes, all but the last missing, take 2.5 s here)
-    target = scale * d * d
-    head = _lex_smallest(coeffs[:split], target, height, [math.inf], right)
-    rest = target - sum(a * c * c for a, c in zip(coeffs, head))
-    return d, head + _lex_smallest(coeffs[split:], rest, height, [math.inf])
+        least = _at_least(right, target - left)
+        least += left  # the least sum l + r at or above the target, per l
+        if (hit := least == target).any():
+            # the least left prefix whose remainder the probe hit, then the least
+            # right vector that makes it up: within the tables, spending nothing
+            ends = set((target - left[hit]).tolist())
+            head = _lex_smallest(coeffs[:split], target, height, [math.inf], ends)
+            rest = target - sum(a * c * c for a, c in zip(coeffs, head))
+            return d, head + _lex_smallest(coeffs[split:], rest, height, [math.inf])
+        if least.max() > top:
+            left = left[least <= top]
+        del least, hit  # before the next probe, for the peak
+    return None
 
 
 def _dfs_point(
@@ -259,12 +254,12 @@ def _lex_smallest(
     target: int,
     height: int,
     budget: list[float],
-    right: np.ndarray | None = None,
+    ends: set[int] | None = None,
 ) -> list[int] | None:
     """Lexicographically smallest c in [0, height]^m with sum coeffs_i c_i^2 = target.
 
-    Given right, the sorted values that further coordinates can add, the
-    smallest c whose remainder target - sum coeffs_i c_i^2 right holds.
+    Given ends, the values that further coordinates can add, the smallest c
+    whose remainder target - sum coeffs_i c_i^2 lies in ends.
     Each coordinate runs only over the interval of values the later ones can
     still complete, so every value tried is a node: the search spends a unit
     for itself and, at each interior node, one per child before it visits any."""
@@ -274,8 +269,8 @@ def _lex_smallest(
     # what the tail coordinates can still contribute, for pruning
     hi = [0] * (m + 1)
     lo = [0] * (m + 1)
-    if right is not None:
-        lo[m], hi[m] = int(right[0]), int(right[-1])
+    if ends is not None:  # an empty set leaves the empty interval [1, 0]
+        lo[m], hi[m] = min(ends, default=1), max(ends, default=0)
     for i in range(m - 1, -1, -1):
         hi[i] = hi[i + 1] + (coeffs[i] * h2 if coeffs[i] > 0 else 0)
         lo[i] = lo[i + 1] + (coeffs[i] * h2 if coeffs[i] < 0 else 0)
@@ -283,7 +278,7 @@ def _lex_smallest(
     # depth first, on an explicit stack so that the rank never meets the
     # recursion limit: levels[i] holds the rest before coordinate i and the
     # values of it left to try. The last step is closed form
-    stop = m if right is not None else m - 1
+    stop = m if ends is not None else m - 1
     path, levels, rest = [0] * stop, [], target
     while True:
         i = len(levels)
@@ -299,8 +294,8 @@ def _lex_smallest(
             last = min(height, math.isqrt(high // abs(a))) if high >= 0 else -1
             _spend(budget, max(last - first + 1, 0), height)
             levels.append((rest, iter(range(first, last + 1))))
-        elif right is not None:
-            if _at_least(right, rest) == rest:
+        elif ends is not None:
+            if rest in ends:
                 return path
         else:  # the last coordinate alone makes up rest
             q, r = divmod(rest, coeffs[-1])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import hassewitt
 from hassewitt.forms import DiagonalForm
-from hassewitt.solvability import solvable_over_Q
+from hassewitt.solvability import _SEARCH_BUDGET, _mitm_point, solvable_over_Q
 
 SRC = Path(hassewitt.__file__).resolve().parent
 
@@ -88,3 +88,19 @@ def test_fresh_forms_leave_no_residue():
     finally:
         tracemalloc.stop()
     assert grown < 50_000, f"{grown} bytes still held after 200 fresh forms"
+
+
+def test_meet_in_the_middle_frees_each_probe():
+    # [3, -5] has no point, so every denominator probes: each probe holds both
+    # half tables, its targets, the search positions and the least values it
+    # found, and frees them before the next probe
+    height = 2000
+    _mitm_point([3, -5], 1, height, [_SEARCH_BUDGET])  # first-call allocations
+    tracemalloc.start()
+    try:
+        assert _mitm_point([3, -5], 1, height, [_SEARCH_BUDGET]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (height + 1) * 8
+    assert peak <= 5.5 * table, f"peak of {peak / table:.2f} tables"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hassewitt import rationals
 from hassewitt.cohomology import (
     BaseField,
     CohClass,
@@ -158,6 +159,23 @@ def test_h1_fixed_values():
     assert is_zero(h1(Fraction(9, 4), BaseField.padics(7)))
     with pytest.raises(ValueError):
         h1(0, RATIONALS)
+
+
+def test_h1_over_q_certifies_each_prime_once(monkeypatch):
+    # factor proves the primes of the entry; the class's places skip a second proof
+    proved = []
+    is_prime = rationals.is_prime
+
+    def counted(n):
+        if is_prime(n):
+            proved.append(n)
+            return True
+        return False
+
+    monkeypatch.setattr(rationals, "is_prime", counted)
+    c = h1(-3 * 10007 * 10009, RATIONALS)
+    assert sorted(proved) == [10007, 10009]
+    assert c.payload == frozenset({REAL_PLACE, Place.finite(3), Place(10007), Place(10009)})
 
 
 @given(nonzero, fields)

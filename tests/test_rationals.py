@@ -306,6 +306,11 @@ def test_place_basics():
         Place.parse("xyz")
     with pytest.raises(ValueError):
         Place.parse("4")
+    with pytest.raises(ValueError):
+        Place(9)
+    # the unchecked constructor for primes factor has proved builds the same place
+    assert Place._certified(13) == Place.finite(13)
+    assert hash(Place._certified(13)) == hash(Place.finite(13))
 
 
 def test_place_ordering():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,27 @@ def test_local_checks_certify_no_prime(monkeypatch):
     assert certificate.checked_places == tuple(places)
 
 
+def test_each_prime_is_certified_once(monkeypatch):
+    # factor proves each prime of the entries; the places relevant_places
+    # builds from them are not proved again
+    form = DiagonalForm.of(3 * 10007 * 10009, -5 * 10037 * 10039, 7 * 10061 * 10067)
+    proved = []
+    is_prime = rationals.is_prime
+
+    def counted(n):
+        if is_prime(n):
+            proved.append(n)
+            return True
+        return False
+
+    monkeypatch.setattr(rationals, "is_prime", counted)
+    certificate = solvable_over_Q(form, search_height=3)
+    assert sorted(proved) == [10007, 10009, 10037, 10039, 10061, 10067]
+    assert [str(v) for v in certificate.checked_places] == [
+        "inf", "2", "3", "5", "7", "10007", "10009", "10037", "10039", "10061", "10067"
+    ]
+
+
 def test_rank_past_the_recursion_limit_gets_its_witness():
     # the depth-first scan keeps its own stack, one level per coordinate
     n = 1100
@@ -228,6 +251,8 @@ _NEAR_GUARD = (_INT64_GUARD - 1) // (2 * 2 * 3)
 @example(([10**6, 1 - 10**6], 10), 1)  # huge entries that still meet at d = 1
 @example(([_NEAR_GUARD, 3 - _NEAR_GUARD], 2), 3)
 @example(([_NEAR_GUARD, -_NEAR_GUARD], 2), 2)
+@example(([-2, 5, -5, 5], 5), 1)  # the left table shrinks from 36 to 29 before d = 5 hits
+@example(([1, 1, -3, 2], 4), 5)  # the left table a^2 + b^2 holds duplicates
 @settings(max_examples=200, deadline=None)
 def test_denominator_scan_routes_agree(case, scale):
     # the depth-first scan is the oracle for the windowed meet in the middle,
@@ -277,6 +302,30 @@ def test_lex_smallest_matches_enumeration(coeffs, target, height):
     assert _lex_smallest(coeffs, target, height, [_SEARCH_BUDGET]) == expected
 
 
+@given(
+    st.lists(nonzero_digit, max_size=3),
+    st.integers(min_value=-40, max_value=80),
+    st.integers(min_value=1, max_value=4),
+    st.sets(st.integers(min_value=-300, max_value=300), max_size=6),
+)
+@example([2, 3], 20, 3, set())  # nothing to end on
+@example([1, 1], 5, 2, {10**6, -(10**6)})  # every end out of reach
+@example([1, -3], 2, 3, {-4, -7})  # remainders below zero: 2 - 3^2 and 2 - 3^2 + 3
+@example([], 7, 1, {7})  # a rank-1 form leaves the left half empty
+@settings(max_examples=200, deadline=None)
+def test_lex_smallest_over_ends_matches_enumeration(coeffs, target, height, ends):
+    # the rebuild of the left half: the least prefix whose remainder lies in ends
+    expected = next(
+        (
+            list(c)
+            for c in itertools.product(range(height + 1), repeat=len(coeffs))
+            if target - sum(a * x * x for a, x in zip(coeffs, c)) in ends
+        ),
+        None,
+    )
+    assert _lex_smallest(coeffs, target, height, [_SEARCH_BUDGET], ends) == expected
+
+
 def unpruned_first_point(coeffs, scale, height):
     """Every denominator in turn, with no content check: (d, numerators)."""
     for d in range(1, height + 1):
@@ -321,10 +370,37 @@ def test_oversized_search_refused_before_allocation():
     assert search_point(DiagonalForm.of(1000003, 1000003, -1000003), 30000) is None
 
 
+def test_searches_with_no_point_charge_every_probe():
+    # a probe spends one unit and one per 64 distinct left values it holds,
+    # the first probe included; finding the least denominator spends one
+    # unit per d tried
+    budget = [_SEARCH_BUDGET]
+    assert _mitm_point([3, -5], 1, 200, budget) is None
+    assert _SEARCH_BUDGET - budget[0] == 541
+    # entries +-s*q1*q2: no left value plus a right value lies in [1, 100^2],
+    # so the first probe, over all 101^2 left values, empties the table
+    coeffs = [3 * 10007 * 10009, -5 * 10037 * 10039, 7 * 10061 * 10067, -2 * 10069 * 10079]
+    budget = [_SEARCH_BUDGET]
+    assert _mitm_point(coeffs, 1, 100, budget) is None
+    assert _SEARCH_BUDGET - budget[0] == 1 + (1 + 101**2 // 64)
+
+
+def test_only_the_tables_use_numpy():
+    # the rebuild reads a set of the probe's hits, so numpy stays inside the
+    # code that builds and probes the tables
+    tree = ast.parse(Path(solvability.__file__).read_text())
+    users = {
+        getattr(node, "name", type(node).__name__)
+        for node in tree.body
+        if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node))
+    }
+    assert users == {"_half_values", "_at_least", "_mitm_point"}
+
+
 def test_witness_the_tables_prove_is_returned():
     # the tables prove d = 1; a plain depth-first search for the least
-    # numerators at that d spends more than the whole budget, the rebuild
-    # over the left prefixes the right table completes costs about 4000 units
+    # numerators at that d spends more than the whole budget; the rebuild over
+    # the left prefixes whose remainder the probe hit would cost 3838 units
     form = DiagonalForm.of("11/5", "-9/4", "24/5", 2, 6, "11/3")
     assert search_point(form, 100) == (1, 6, 1, 3, 2, 3)
     assert solvable_over_Q(form).witness == (1, 6, 1, 3, 2, 3)
