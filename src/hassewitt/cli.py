@@ -4,8 +4,7 @@ One subcommand per library operation; all input and output is exact (rationals
 as "p/q" strings, never floats), and every output is a single JSON document on
 standard output. Exit codes: 0 computed, 1 usage or parse error, 2 domain
 error (degenerate form, zero coefficient, factorization limit, non-prime
-place, a point search that spends its work budget before it answers), 3
-inconclusive local oracle.
+place, a point search that spends its work budget before it answers).
 
 Syntax errors in flag values (malformed JSON, a field tag that is not
 Q/R/Qp:<int>) are usage errors; well-formed values that fail semantic checks
@@ -29,7 +28,6 @@ from .forms import (
 )
 from .gerbe import GALOIS_GROUP, h2_census, main_example_report
 from .hasse_witt import hasse_witt_vector, top_obstruction
-from .localsolve import InconclusivePrecisionError
 from .rationals import Place, as_rational
 from .solvability import (
     search_point,
@@ -211,9 +209,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         doc = args.handler(args)
-    except InconclusivePrecisionError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

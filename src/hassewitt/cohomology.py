@@ -38,7 +38,6 @@ from .rationals import (
     _require_prime,
     _split,
     as_rational,
-    ramified_places,
 )
 
 TWO_ADIC_REPS = (1, -1, 2, -2, 5, -5, 10, -10)
@@ -219,11 +218,7 @@ def h1(a: Rational | int | str, field: BaseField) -> CohClass:
 
 
 def _real_invariant(c: CohClass) -> int:
-    # the image of c at the real place, as a bit
-    if c.field.kind == "R":
-        return c.payload
-    if c.field.kind == "Qp":
-        raise ValueError("no real place on Q_p")
+    # the image of a class over Q at the real place, as a bit
     if c.degree <= 2:
         return 1 if REAL_PLACE in c.payload else 0
     return c.payload
@@ -233,6 +228,14 @@ def _squarefree(places: frozenset) -> int:
     # the square-free integer whose square class over Q is this place set
     sign = -1 if REAL_PLACE in places else 1
     return sign * prod(v.p for v in places if not v.is_real)
+
+
+def _symbol_support(x: frozenset, y: frozenset) -> frozenset:
+    # the places where (a, b)_v = -1 for a, b of the square classes x, y over
+    # Q: only inf, 2 and the places of x and y can qualify, since (a, b)_v = +1
+    # at every odd prime dividing neither a nor b
+    a, b = _squarefree(x), _squarefree(y)
+    return frozenset(v for v in x | y | {REAL_PLACE, _TWO} if hilbert_symbol(a, b, v) == -1)
 
 
 def cup(c1: CohClass, c2: CohClass) -> CohClass:
@@ -249,10 +252,7 @@ def cup(c1: CohClass, c2: CohClass) -> CohClass:
         bit = _finite_symbol(c1.payload, c2.payload, field.p) == -1
         return CohClass(field, 2, int(bit))
     if d == 2:
-        # (a, b)_v = +1 at every odd prime dividing neither a nor b
-        a, b = _squarefree(c1.payload), _squarefree(c2.payload)
-        places = c1.payload | c2.payload | {REAL_PLACE, _TWO}
-        return CohClass(field, 2, frozenset(v for v in places if hilbert_symbol(a, b, v) == -1))
+        return CohClass(field, 2, _symbol_support(c1.payload, c2.payload))
     return CohClass(field, d, _real_invariant(c1) & _real_invariant(c2))
 
 
@@ -270,8 +270,10 @@ def add(c1: CohClass, c2: CohClass) -> CohClass:
 
 
 def reciprocity_holds(a: Rational | int | str, b: Rational | int | str) -> bool:
-    """Product of (a,b)_v over the real place, 2, and every odd prime dividing a or b."""
-    return prod(hilbert_symbol(a, b, v) for v in ramified_places(a, b)) == 1
+    """Whether (a,b)_v = -1 at an even number of places. Only the real place,
+    2 and the primes of odd valuation in a or b can be among them, the same
+    support cup finds in degree 2 over Q."""
+    return len(_symbol_support(h1(a, RATIONALS).payload, h1(b, RATIONALS).payload)) % 2 == 0
 
 
 def cohclass_to_json(c: CohClass) -> dict:
@@ -285,7 +287,11 @@ def cohclass_to_json(c: CohClass) -> dict:
 
 
 def cohclass_from_json(doc: dict) -> CohClass:
-    """Inverse of cohclass_to_json (the `zero` member is ignored on input)."""
+    """Inverse of cohclass_to_json (the `zero` member is ignored on input),
+    within the limits of factor: a degree-1 payload over Q is a square-free
+    integer that is factored again to recover its places, so one with a prime
+    factor past the proven range, or a composite part the rho budget cannot
+    split, raises FactorizationLimitError although cohclass_to_json wrote it."""
     field = BaseField.parse(doc["field"])
     degree = doc["degree"]
     pay = doc["payload"]

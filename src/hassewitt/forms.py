@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import mul, xor
 
-from .cohomology import hilbert_symbol
-from .rationals import Place, Rational, as_rational, format_rational, squarefree_part
+from .cohomology import RATIONALS, _squarefree, h1, hilbert_symbol
+from .rationals import Place, Rational, as_rational, format_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -108,35 +109,24 @@ def diagonalize(form: SymmetricForm) -> tuple[Matrix, DiagonalForm]:
     """Symmetric row/column reduction: returns (A, D) with A B A^T = diag(D).
 
     Pivot choice when the current diagonal entry vanishes: swap in a later
-    nonzero diagonal entry if one exists, else add a row (and matching column)
-    that meets a nonzero off-diagonal entry. Singular input raises
-    DegenerateFormError.
+    nonzero diagonal entry if one exists, else add the row (and matching
+    column) of the first nonzero entry to the right in the current row. Row k
+    is already zero left of k, so if it has no such entry it is zero and the
+    input singular. Singular input raises DegenerateFormError.
     """
     n = form.size
     m = [list(row) for row in form.gram]
     a = _identity(n)
     for k in range(n):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][i] != 0:
-                    _swap_symmetric(m, a, k, i)
-                    break
+            i = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if i is not None:
+                _swap_symmetric(m, a, k, i)
             else:
-                hit = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(k, n)
-                        if j > i and m[i][j] != 0
-                    ),
-                    None,
-                )
-                if hit is None:
+                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if j is None:
                     raise DegenerateFormError("singular Gram matrix")
-                i, j = hit
-                _add_row_col(m, a, i, j, Fraction(1))  # m[i][i] becomes 2 m[i][j]
-                if i != k:
-                    _swap_symmetric(m, a, k, i)
+                _add_row_col(m, a, k, j, Fraction(1))  # m[k][k] becomes 2 m[k][j]
         pivot = m[k][k]
         for i in range(k + 1, n):
             if m[i][k] != 0:
@@ -148,8 +138,14 @@ def diagonalize(form: SymmetricForm) -> tuple[Matrix, DiagonalForm]:
 
 
 def discriminant(form: DiagonalForm) -> int:
-    """Square-free representative of the product of the diagonal entries."""
-    return squarefree_part(prod(form.entries, start=Fraction(1)))
+    """Square-free representative of the product of the diagonal entries.
+
+    It is read off the entries' degree-1 classes over Q, the symmetric
+    difference of their place sets, so only each entry is factored, never the
+    product (HW_1 over Q is the same class). An entry with a prime factor past
+    the proven range raises FactorizationLimitError even when that prime
+    cancels in the product."""
+    return _squarefree(reduce(xor, (h1(a, RATIONALS).payload for a in form.entries)))
 
 
 def hasse_invariant(form: DiagonalForm, v: Place) -> int:

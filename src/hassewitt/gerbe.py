@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import xor
 
 # fourth roots of unity as exponents of i
 _ROOT_NAMES = {0: "1", 1: "i", 2: "-1", 3: "-i"}
@@ -218,7 +219,7 @@ class TwoCocycle:
         return isinstance(other, TwoCocycle) and self._table == other._table
 
     def __hash__(self) -> int:
-        return hash(tuple(self._table[s, t] for s in GALOIS_GROUP for t in GALOIS_GROUP))
+        return hash(_values(self))
 
     def table(self) -> dict[tuple[GaloisElement, GaloisElement], int]:
         return dict(self._table)
@@ -241,6 +242,11 @@ def coboundary(phi: dict[GaloisElement, int]) -> TwoCocycle:
     )
 
 
+def _values(c: TwoCocycle) -> tuple[int, ...]:
+    # the 16 values of c in a fixed order
+    return tuple(c(s, t) for s in GALOIS_GROUP for t in GALOIS_GROUP)
+
+
 @lru_cache(maxsize=1)
 def _all_coboundaries() -> frozenset[TwoCocycle]:
     out = set()
@@ -251,14 +257,17 @@ def _all_coboundaries() -> frozenset[TwoCocycle]:
     return frozenset(out)
 
 
+def _coset(c: TwoCocycle) -> frozenset[tuple[int, ...]]:
+    # the class of c, as the values of c + b for every coboundary b
+    z = _values(c)
+    return frozenset(tuple(map(xor, z, _values(b))) for b in _all_coboundaries())
+
+
 def cohomologous(c1: TwoCocycle, c2: TwoCocycle) -> bool:
-    """Whether c1 and c2 differ by a coboundary (8 candidates, checked directly)."""
+    """Whether c1 and c2 differ by a coboundary: whether their cosets agree."""
     if not isinstance(c1, TwoCocycle) or not isinstance(c2, TwoCocycle):
         raise ValueError("cohomologous compares TwoCocycle instances")
-    diff = {
-        (s, t): c1(s, t) ^ c2(s, t) for s in GALOIS_GROUP for t in GALOIS_GROUP
-    }
-    return any(d.table() == diff for d in _all_coboundaries())
+    return _coset(c1) == _coset(c2)
 
 
 def cup_character_cocycle(
@@ -347,15 +356,7 @@ def h2_census() -> int:
             cocycles.append(TwoCocycle(values))
         except ValueError:
             continue
-    coboundaries = _all_coboundaries()
-    classes = {
-        frozenset(
-            tuple(z(s, t) ^ b(s, t) for s in GALOIS_GROUP for t in GALOIS_GROUP)
-            for b in coboundaries
-        )
-        for z in cocycles
-    }
-    return len(classes)
+    return len({_coset(z) for z in cocycles})
 
 
 def verify_main_example() -> bool:

@@ -309,15 +309,3 @@ class Place:
 
 
 REAL_PLACE = Place.real()
-
-
-def ramified_places(*qs: Rational | int | str) -> list[Place]:
-    """The real place, 2, and every odd prime dividing a numerator or
-    denominator of some q, in that order: the only places where a Hilbert
-    symbol of the qs can be -1 (elsewhere the tame formula gives +1)."""
-    odd: set[int] = set()
-    for q in qs:
-        q = as_rational(q)
-        for part in (q.numerator, q.denominator):
-            odd.update(p for p in factor(part) if p != 2)
-    return [REAL_PLACE, Place._certified(2)] + [Place._certified(p) for p in sorted(odd)]

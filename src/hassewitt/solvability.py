@@ -17,7 +17,7 @@ import numpy as np
 from . import localsolve
 from .cohomology import _padic_class_rep, hilbert_symbol
 from .forms import DiagonalForm, form_to_json, hasse_invariant
-from .rationals import Place, format_rational, ramified_places
+from .rationals import REAL_PLACE, Place, factor, format_rational
 
 DEFAULT_SEARCH_HEIGHT = 100
 
@@ -103,9 +103,14 @@ def local_oracle(form: DiagonalForm, p: int, k: int | None = None) -> bool:
 
 
 def relevant_places(form: DiagonalForm) -> list[Place]:
-    """The real place, 2, and every ramified odd prime: solvability everywhere
-    reduces to solvability at these (unramified odd completions come free)."""
-    return ramified_places(*form.entries)
+    """The real place, 2, and every odd prime dividing a numerator or
+    denominator of an entry, in that order: solvability everywhere reduces to
+    solvability at these (unramified odd completions come free)."""
+    odd: set[int] = set()
+    for a in form.entries:
+        for part in (a.numerator, a.denominator):
+            odd.update(p for p in factor(part) if p != 2)
+    return [REAL_PLACE, Place._certified(2)] + [Place._certified(p) for p in sorted(odd)]
 
 
 def solvable_over_Q(

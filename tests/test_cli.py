@@ -21,7 +21,6 @@ import hassewitt
 from hassewitt import cli
 from hassewitt.cohomology import BaseField, cohclass_to_json, h1, hilbert_symbol
 from hassewitt.forms import DiagonalForm, form_to_json
-from hassewitt.localsolve import InconclusivePrecisionError
 from hassewitt.rationals import Place
 from hassewitt.solvability import search_point, solvable_over_Q
 
@@ -130,19 +129,6 @@ def test_large_factors_answer_or_refuse(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "rho iterations" in err
-
-
-def test_exit_code_3_on_inconclusive(capsys, monkeypatch):
-    # no default invocation is inconclusive, so force the failure mode;
-    # the parser is built inside main, so the handler binds to the patch
-    def raiser(args):
-        raise InconclusivePrecisionError("forced for the exit-code contract")
-
-    monkeypatch.setattr(cli, "_cmd_search", raiser)
-    code, out, err = run(capsys, "search", "--form", "[1,1]", "--height", "3")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("inconclusive:")
 
 
 def test_human_flag_changes_layout_not_content(capsys):

@@ -24,6 +24,7 @@ from hassewitt.cohomology import (
     two_adic_class,
     zero_class,
 )
+from hassewitt.forms import DiagonalForm
 from hassewitt.localsolve import represents_one
 from hassewitt.rationals import (
     REAL_PLACE,
@@ -32,6 +33,7 @@ from hassewitt.rationals import (
     squarefree_part,
     unit_residue,
 )
+from hassewitt.solvability import relevant_places
 
 nonzero = st.fractions(min_value=-100, max_value=100, max_denominator=40).filter(
     lambda q: q != 0
@@ -262,12 +264,17 @@ def test_qp_cup_bit_is_the_symbol(a, b, p):
 
 
 @given(nonzero, nonzero)
+@example(Fraction(63, 4), -5)  # 63 = 3^2 * 7: an odd prime to an even power
 @settings(max_examples=120, deadline=None)
 def test_q_cup_support_is_even_and_local(a, b):
     c = cup(h1(a, RATIONALS), h1(b, RATIONALS))
     assert len(c.payload) % 2 == 0
     for v in c.payload:
         assert hilbert_symbol(a, b, v) == -1
+    # every other place that divides a or b, even to an even power, gives +1
+    for v in relevant_places(DiagonalForm.of(a, b)):
+        if v not in c.payload:
+            assert hilbert_symbol(a, b, v) == 1
 
 
 def test_cohclass_validation():

@@ -19,7 +19,7 @@ from hassewitt.forms import (
     matrix_from_json,
     matrix_to_json,
 )
-from hassewitt.rationals import REAL_PLACE, Place, squarefree_part
+from hassewitt.rationals import REAL_PLACE, FactorizationLimitError, Place, squarefree_part
 
 entry = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 
@@ -113,6 +113,9 @@ def test_diagonalize_rejects_singular():
         diagonalize(SymmetricForm.from_rows([[1, 1], [1, 1]]))
     with pytest.raises(DegenerateFormError):
         diagonalize(SymmetricForm.from_rows([[0, 0], [0, 1]]))
+    # row 0 is zero while a later pair is not: refused at the first pivot
+    with pytest.raises(DegenerateFormError):
+        diagonalize(SymmetricForm.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
 
 
 @given(symmetric_matrices())
@@ -150,6 +153,14 @@ def test_discriminant_values():
     assert discriminant(DiagonalForm.of(1, -1)) == -1
     assert discriminant(DiagonalForm.of(2, 18)) == 1
     assert discriminant(DiagonalForm.of("1/2", 3)) == 6
+
+
+def test_discriminant_factors_each_entry():
+    # the discriminant is read off the entries' classes, so a prime past the
+    # proven range is refused even where it cancels in the product
+    m89 = 2**89 - 1  # a Mersenne prime above 3.3e24
+    with pytest.raises(FactorizationLimitError):
+        discriminant(DiagonalForm.of(m89, Fraction(1, m89)))
 
 
 def test_hasse_invariant_values():

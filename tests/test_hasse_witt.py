@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -13,15 +14,18 @@ from hassewitt.cohomology import (
     RATIONALS,
     REALS,
     add,
+    cohclass_from_json,
+    cohclass_to_json,
     cup,
     h1,
     hilbert_symbol,
     is_zero,
     zero_class,
 )
-from hassewitt.forms import DiagonalForm, hasse_invariant
+from hassewitt.forms import DiagonalForm, discriminant, hasse_invariant
 from hassewitt.hasse_witt import (
     MAX_RANK,
+    MAX_TERMS,
     FormalSymmetricPolynomial,
     HasseWittVector,
     hasse_witt_vector,
@@ -31,7 +35,7 @@ from hassewitt.hasse_witt import (
     whitney_sum_check,
 )
 from hassewitt import rationals
-from hassewitt.rationals import REAL_PLACE, Place
+from hassewitt.rationals import REAL_PLACE, FactorizationLimitError, Place
 
 fields = st.sampled_from(
     (RATIONALS, REALS, BaseField.padics(2), BaseField.padics(3), BaseField.padics(5))
@@ -193,6 +197,13 @@ def test_rational_vector_of_products_of_ten_digit_primes():
     # HW_2 is the sum of the pairwise cups: -1 exactly where the Hasse invariant is
     places = [REAL_PLACE, Place.finite(2)] + [Place.finite(q) for q in sorted(primes)]
     assert v[2].payload == {w for w in places if hasse_invariant(form, w) == -1}
+    # the discriminant is HW_1, found without factoring the product
+    doc = cohclass_to_json(v[1])
+    assert discriminant(form) == doc["payload"]
+    # reading HW_1 back factors its 156-digit payload again, which is refused
+    assert len(str(abs(doc["payload"]))) == 156
+    with pytest.raises(FactorizationLimitError):
+        cohclass_from_json(doc)
 
 
 def test_whitney_fixed_example():
@@ -239,6 +250,15 @@ def test_stabilization_spot_cases():
         stabilization_pullback(2, 3, 4)
     with pytest.raises(ValueError):
         stabilization_pullback(0, 3, 2)
+
+
+def test_formal_polynomials_are_capped():
+    # C(30, 15) = 155,117,520 index subsets would take over 100 GB: refused
+    # before a single one is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=str(MAX_TERMS)):
+        stabilization_pullback(15, 30, 30)
+    assert time.perf_counter() - start < 1
 
 
 @given(
