@@ -29,12 +29,7 @@ from .forms import (
 from .gerbe import GALOIS_GROUP, h2_census, main_example_report
 from .hasse_witt import hasse_witt_vector, top_obstruction
 from .rationals import Place, as_rational
-from .solvability import (
-    search_point,
-    solvable_over_Q,
-    solvable_over_Qp,
-    solvable_over_R,
-)
+from .solvability import _solvable_at, search_point, solvable_over_Q
 
 # accept -1 and -3/4 as flag values; the stock matcher only knows plain ints
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$")
@@ -122,10 +117,7 @@ def _cmd_solvable(args) -> dict:
     if args.place is None:
         return solvable_over_Q(form).to_json()
     place = Place.parse(args.place)
-    verdict = (
-        solvable_over_R(form) if place.is_real else solvable_over_Qp(form, place.p)
-    )
-    return {"place": str(place), "solvable": verdict}
+    return {"place": str(place), "solvable": _solvable_at(form, place)}
 
 
 def _cmd_search(args) -> dict:

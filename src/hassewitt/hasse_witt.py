@@ -117,11 +117,6 @@ def top_obstruction(form: DiagonalForm, field: BaseField) -> CohClass:
     return reduce(cup, (h1(a, field) for a in form.entries))
 
 
-def obstruction_dim0(a, field: BaseField) -> CohClass:
-    """Base case: the obstruction for a single coefficient is its square class."""
-    return h1(a, field)
-
-
 def whitney_sum_check(d1: DiagonalForm, d2: DiagonalForm, field: BaseField) -> bool:
     """Whitney formula: HW_i of the orthogonal sum equals
     sum_{j+l=i} HW_j(d1) cup HW_l(d2), with HW_0 read as the unit.

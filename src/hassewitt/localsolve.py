@@ -7,8 +7,8 @@ relevant partial derivative. The search runs in exact Python integers and
 keeps one table entry per orbit of Z/p^k under multiplication by unit
 squares; the orbits are found by brute force, not by a formula. Nothing in
 here consults a symbol formula, and no closed-form route consults this
-module: it is the independent oracle those routes are tested against, called
-only by solvability.local_oracle and the tests.
+module: it is the independent oracle those routes are tested against.
+represents_one is its entry point.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def represents_one(
     nonzero last coordinate rescales to a solution, and a zero of the original
     form alone spans a hyperbolic plane, which represents everything.
     """
-    cs = [as_rational(c) for c in coeffs]
-    return isotropic(cs + [Fraction(-1)], p, k)
+    return isotropic([*coeffs, Fraction(-1)], p, k)
 
 
 def isotropic(

@@ -167,7 +167,7 @@ def _rho_divisor(n: int, budget: list[int]) -> int:
                 _spend(budget, steps, n)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += steps
             r *= 2
@@ -176,7 +176,7 @@ def _rho_divisor(n: int, budget: list[int]) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 

@@ -1,9 +1,9 @@
 """Local and global solvability of sum a_i x_i^2 = 1, with certificates.
 
-Two independent local routes are kept side by side on purpose: the
-closed-form isotropy criteria for the extended form, and the brute-force
-residue oracle from localsolve. The tests hold them against each other.
-Globally, Hasse-Minkowski reduces everything to finitely many completions.
+Locally, the closed-form isotropy criteria for the extended form decide
+every place; they never consult the residue oracle in localsolve, which the
+tests hold them against. Globally, Hasse-Minkowski reduces everything to
+finitely many completions, and a bounded point search looks for a witness.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import localsolve
 from .cohomology import _padic_class_rep, hilbert_symbol
 from .forms import DiagonalForm, form_to_json, hasse_invariant
 from .rationals import REAL_PLACE, Place, factor, format_rational
@@ -65,7 +64,7 @@ class SolvabilityCertificate:
 
 def solvable_over_R(form: DiagonalForm) -> bool:
     """sum a_i x_i^2 = 1 over R needs one positive coefficient, nothing more."""
-    return any(a > 0 for a in form.entries)
+    return _solvable_at(form, REAL_PLACE)
 
 
 def solvable_over_Qp(form: DiagonalForm, p: int) -> bool:
@@ -79,7 +78,9 @@ def solvable_over_Qp(form: DiagonalForm, p: int) -> bool:
 
 
 def _solvable_at(form: DiagonalForm, v: Place) -> bool:
-    # solvable_over_Qp at a finite place, whose prime the Place certified
+    # the local verdict at any place; a finite one has certified its prime
+    if v.is_real:
+        return any(a > 0 for a in form.entries)
     e = DiagonalForm(form.entries + (Fraction(-1),))
     r = e.rank
     if r >= 5:
@@ -91,15 +92,6 @@ def _solvable_at(form: DiagonalForm, v: Place) -> bool:
     if r == 3:
         return hilbert_symbol(-1, -d, v) == eps
     return _padic_class_rep(d, v.p) != 1 or eps == hilbert_symbol(-1, -1, v)
-
-
-def local_oracle(form: DiagonalForm, p: int, k: int | None = None) -> bool:
-    """Brute-force local verdict at p by residue search mod p^k.
-
-    Defaults to the always-conclusive precision. Explicit low k may raise
-    InconclusivePrecisionError; that is the honest answer there.
-    """
-    return localsolve.represents_one(form.entries, p, k)
 
 
 def relevant_places(form: DiagonalForm) -> list[Place]:
@@ -130,8 +122,7 @@ def solvable_over_Q(
     checked: list[Place] = []
     for v in relevant_places(form):
         checked.append(v)
-        ok = solvable_over_R(form) if v.is_real else _solvable_at(form, v)
-        if not ok:
+        if not _solvable_at(form, v):
             return SolvabilityCertificate(False, None, v, tuple(checked))
     try:
         witness = search_point(form, search_height)

@@ -37,7 +37,6 @@ from hassewitt.gerbe import (
 )
 from hassewitt.hasse_witt import (
     FormalSymmetricPolynomial,
-    obstruction_dim0,
     stabilization_pullback,
     top_obstruction,
     whitney_sum_check,
@@ -228,7 +227,7 @@ def test_criterion_5_dimension_zero(capsys):
     violations = []
     solvable_seen = set()
     for a in (1, 2, 4, 9, -1, -4, 18):
-        zero = is_zero(obstruction_dim0(a, RATIONALS))
+        zero = is_zero(top_obstruction(DiagonalForm.of(a), RATIONALS))
         solvable = solvable_over_Q(DiagonalForm.of(a)).verdict
         if zero != solvable:
             violations.append(a)

@@ -18,7 +18,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 import hassewitt
-from hassewitt import cli
+from hassewitt import cli, rationals
 from hassewitt.cohomology import BaseField, cohclass_to_json, h1, hilbert_symbol
 from hassewitt.forms import DiagonalForm, form_to_json
 from hassewitt.rationals import Place
@@ -50,6 +50,7 @@ def test_documented_hilbert_example(capsys):
     code, out, _ = run(capsys, "hilbert", "-a", "-1", "-b", "-1", "--place", "inf")
     assert code == 0
     assert json.loads(out) == {"symbol": -1}
+    validate("hilbert", json.loads(out))
 
 
 def test_documented_obstruct_example(capsys):
@@ -74,6 +75,7 @@ def test_negative_fraction_option_values(capsys):
     # -a -1/2 must parse as an option value, not as a flag
     doc = run_json(capsys, "hilbert", "-a", "-1/2", "-b", "-3", "--place", "7")
     assert doc == {"symbol": hilbert_symbol(Fraction(-1, 2), -3, Place.finite(7))}
+    validate("hilbert", doc)
 
 
 def test_exit_code_1_on_usage(capsys):
@@ -154,6 +156,16 @@ def test_solvable_outputs(capsys):
     doc = run_json(capsys, "solvable", "--form", "[5,5]")
     assert doc["solvable"] is True and doc["witness"] == ["1/5", "2/5"]
     validate("solvable", doc)
+
+
+def test_solvable_at_one_place_certifies_its_prime_once(capsys, monkeypatch):
+    calls = []
+    is_prime = rationals.is_prime
+    monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    code, out, _ = run(capsys, "solvable", "--form", "[3, 1000003]", "--place", "1000003")
+    assert code == 0
+    assert out == '{"place": "1000003", "solvable": false}\n'
+    assert calls == [1000003]
 
 
 def test_solvable_answers_past_the_recursion_limit(capsys):

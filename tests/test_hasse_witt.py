@@ -29,7 +29,6 @@ from hassewitt.hasse_witt import (
     FormalSymmetricPolynomial,
     HasseWittVector,
     hasse_witt_vector,
-    obstruction_dim0,
     stabilization_pullback,
     top_obstruction,
     whitney_sum_check,
@@ -102,7 +101,8 @@ def test_top_obstruction_is_last_vector_entry(form, field):
 @given(coeff, fields)
 @settings(max_examples=80)
 def test_obstruction_dim0_is_the_square_class(a, field):
-    assert obstruction_dim0(a, field) == h1(a, field)
+    # the n = 0 case of o_{n+1}: a single coefficient's obstruction is its class
+    assert top_obstruction(DiagonalForm.of(a), field) == h1(a, field)
 
 
 def test_rank_cap():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import hassewitt
 from hassewitt import rationals, solvability
 from hassewitt.forms import DiagonalForm
+from hassewitt.localsolve import represents_one
 from hassewitt.rationals import REAL_PLACE, Place
 from hassewitt.solvability import (
     _INT64_GUARD,
@@ -25,7 +26,6 @@ from hassewitt.solvability import (
     _dfs_point,
     _lex_smallest,
     _mitm_point,
-    local_oracle,
     relevant_places,
     search_point,
     solvable_over_Q,
@@ -65,7 +65,7 @@ def ramified_at(p):
 def test_local_routes_agree(case):
     # closed-form isotropy criteria vs the brute-force residue oracle
     form, p = case
-    assert solvable_over_Qp(form, p) == local_oracle(form, p)
+    assert solvable_over_Qp(form, p) == represents_one(form.entries, p)
 
 
 @pytest.mark.parametrize("p", (29, 31, 37, 41, 43))
@@ -75,7 +75,7 @@ def test_local_routes_agree_at_large_primes(p):
     verdicts = []
     for entries in cases:
         form = DiagonalForm.of(*entries)
-        verdicts.append(local_oracle(form, p))
+        verdicts.append(represents_one(form.entries, p))
         assert solvable_over_Qp(form, p) == verdicts[-1], entries
     assert False in verdicts and True in verdicts
 
@@ -83,9 +83,10 @@ def test_local_routes_agree_at_large_primes(p):
 @pytest.mark.parametrize("p", (3.0, True, 4))
 def test_local_routes_refuse_a_non_prime_alike(p):
     form = DiagonalForm.of(3)
-    for route in (solvable_over_Qp, local_oracle):
-        with pytest.raises(ValueError, match=re.escape(f"{p!r} is not a prime")):
-            route(form, p)
+    with pytest.raises(ValueError, match=re.escape(f"{p!r} is not a prime")):
+        solvable_over_Qp(form, p)
+    with pytest.raises(ValueError, match=re.escape(f"{p!r} is not a prime")):
+        represents_one(form.entries, p)
 
 
 def test_local_fixed_verdicts():
