@@ -12,13 +12,11 @@ from .cohomology import (
     RATIONALS,
     REALS,
     add,
-    cohclass_from_json,
     cohclass_to_json,
     cup,
     h1,
     hilbert_symbol,
     is_zero,
-    padic_class_rep,
     reciprocity_holds,
     two_adic_class,
     zero_class,
@@ -37,12 +35,9 @@ from .forms import (
 )
 from .hasse_witt import (
     MAX_RANK,
-    FormalSymmetricPolynomial,
     HasseWittVector,
     hasse_witt_vector,
-    stabilization_pullback,
     top_obstruction,
-    whitney_sum_check,
 )
 from .localsolve import (
     InconclusivePrecisionError,
@@ -59,10 +54,6 @@ from .rationals import (
     factor,
     format_rational,
     is_prime,
-    legendre_symbol,
-    padic_valuation,
-    squarefree_part,
-    unit_residue,
 )
 from .solvability import (
     DEFAULT_SEARCH_HEIGHT,
@@ -82,7 +73,6 @@ __all__ = [
     "DegenerateFormError",
     "DiagonalForm",
     "FactorizationLimitError",
-    "FormalSymmetricPolynomial",
     "HasseWittVector",
     "InconclusivePrecisionError",
     "MAX_RANK",
@@ -96,7 +86,6 @@ __all__ = [
     "SymmetricForm",
     "add",
     "as_rational",
-    "cohclass_from_json",
     "cohclass_to_json",
     "cup",
     "default_precision",
@@ -112,12 +101,9 @@ __all__ = [
     "hilbert_symbol",
     "is_prime",
     "is_zero",
-    "legendre_symbol",
     "matrix_from_json",
     "matrix_to_json",
     "min_precision",
-    "padic_class_rep",
-    "padic_valuation",
     "reciprocity_holds",
     "relevant_places",
     "represents_one",
@@ -125,11 +111,7 @@ __all__ = [
     "solvable_over_Q",
     "solvable_over_Qp",
     "solvable_over_R",
-    "squarefree_part",
-    "stabilization_pullback",
     "top_obstruction",
     "two_adic_class",
-    "unit_residue",
-    "whitney_sum_check",
     "zero_class",
 ]

@@ -35,7 +35,6 @@ from .rationals import (
     _least_nonresidue,
     _legendre,
     _odd_primes,
-    _require_prime,
     _split,
     as_rational,
 )
@@ -132,16 +131,6 @@ def two_adic_class(q: Rational | int | str) -> int:
         raise ValueError("zero has no square class")
     v, u = _split(q, 2, 3)
     return (2 if v % 2 else 1) * {1: 1, 3: -5, 5: 5, 7: -1}[u]
-
-
-def padic_class_rep(q: Rational | int | str, p: int) -> int:
-    """Canonical square-class representative in Q_p: {1, u, p, u p} for odd p (u the least nonresidue), the mod-8 family at p = 2."""
-    q = as_rational(q)
-    if q == 0:
-        raise ValueError("zero has no square class")
-    if p != 2:
-        _require_prime(p)
-    return _padic_class_rep(q, p)
 
 
 def _padic_class_rep(q: Rational, p: int) -> int:
@@ -284,24 +273,3 @@ def cohclass_to_json(c: CohClass) -> dict:
     elif isinstance(pay, frozenset):
         pay = [str(v) for v in sorted(pay)]
     return {"field": str(c.field), "degree": c.degree, "zero": is_zero(c), "payload": pay}
-
-
-def cohclass_from_json(doc: dict) -> CohClass:
-    """Inverse of cohclass_to_json (the `zero` member is ignored on input),
-    within the limits of factor: a degree-1 payload over Q is a square-free
-    integer that is factored again to recover its places, so one with a prime
-    factor past the proven range, or a composite part the rho budget cannot
-    split, raises FactorizationLimitError although cohclass_to_json wrote it."""
-    field = BaseField.parse(doc["field"])
-    degree = doc["degree"]
-    pay = doc["payload"]
-    if field.kind == "Q" and degree == 1:
-        if not isinstance(pay, int) or isinstance(pay, bool) or pay == 0:
-            raise ValueError("degree-1 payload over Q is a nonzero square-free integer")
-        c = h1(pay, field)
-        if _squarefree(c.payload) != pay:
-            raise ValueError(f"{pay} is not square-free")
-        return c
-    if isinstance(pay, list):
-        pay = frozenset(Place.parse(s) for s in pay)
-    return CohClass(field, degree, pay)

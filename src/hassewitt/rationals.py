@@ -189,14 +189,6 @@ def _spend(budget: list[int], steps: int, n: int) -> None:
         )
 
 
-def squarefree_part(q: Rational | int | str) -> int:
-    """The unique square-free integer s with q/s a square in Q. Keeps q's sign."""
-    q = as_rational(q)
-    if q == 0:
-        raise ValueError("squarefree_part of zero is undefined")
-    return (1 if q > 0 else -1) * math.prod(_odd_primes(q))
-
-
 def _odd_primes(q: Rational) -> list[int]:
     """The primes p with v_p(q) odd, for nonzero q: the finite places of q's
     square class. Numerator and denominator are coprime, so none repeats."""
@@ -206,14 +198,6 @@ def _odd_primes(q: Rational) -> list[int]:
         for p, e in factor(part).items()
         if e % 2
     ]
-
-
-def _checked(q: Rational | int | str, p: int) -> Rational:
-    q = as_rational(q)
-    if q == 0:
-        raise ValueError("valuation of zero is undefined")
-    _require_prime(p)
-    return q
 
 
 def _split(q: Rational, p: int, k: int = 1) -> tuple[int, int]:
@@ -226,26 +210,6 @@ def _split(q: Rational, p: int, k: int = 1) -> tuple[int, int]:
         d, v = d // p, v - 1
     m = p**k
     return v, n * pow(d, -1, m) % m
-
-
-def padic_valuation(q: Rational | int | str, p: int) -> int:
-    """v_p(q) for nonzero rational q."""
-    return _split(_checked(q, p), p)[0]
-
-
-def unit_residue(q: Rational | int | str, p: int, k: int = 1) -> int:
-    """The unit part of q reduced mod p^k, inverting the (coprime) denominator."""
-    return _split(_checked(q, p), p, k)[1]
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """(a/p) for an odd prime p: 0 if p | a, else +-1 by Euler's criterion."""
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("legendre_symbol needs an odd prime")
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise TypeError("legendre_symbol takes an integer residue")
-    return _legendre(a, p)
 
 
 def _legendre(a: int, p: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cohomology import _padic_class_rep, hilbert_symbol
-from .forms import DiagonalForm, form_to_json, hasse_invariant
+from .forms import DiagonalForm, hasse_invariant
 from .rationals import REAL_PLACE, Place, factor, format_rational
 
 DEFAULT_SEARCH_HEIGHT = 100

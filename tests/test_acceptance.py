@@ -14,9 +14,12 @@ from functools import lru_cache
 
 from hassewitt.cohomology import (
     RATIONALS,
+    REALS,
+    BaseField,
     hilbert_symbol,
     is_zero,
     reciprocity_holds,
+    zero_class,
 )
 from hassewitt.forms import DiagonalForm, SymmetricForm, diagonalize
 from hassewitt.gerbe import (
@@ -35,15 +38,16 @@ from hassewitt.gerbe import (
     obstruction_cocycle,
     zero_cocycle,
 )
-from hassewitt.hasse_witt import (
-    FormalSymmetricPolynomial,
-    stabilization_pullback,
-    top_obstruction,
-    whitney_sum_check,
-)
+from hassewitt.hasse_witt import hasse_witt_vector, top_obstruction
 from hassewitt.localsolve import represents_one
 from hassewitt.rationals import REAL_PLACE, Place
-from hassewitt.solvability import search_point, solvable_over_Q
+from hassewitt.solvability import (
+    _solvable_at,
+    relevant_places,
+    search_point,
+    solvable_over_Q,
+)
+from oracles import whitney_sum_check
 
 SQUAREFREE_PARTS = [s * m for m in (1, 2, 3, 5, 6, 7, 10) for s in (1, -1)]
 PLACES = [REAL_PLACE] + [Place.finite(p) for p in (2, 3, 5, 7)]
@@ -284,21 +288,46 @@ def test_criterion_7_whitney_identity(capsys):
 
 
 def test_criterion_8_stabilization(capsys):
+    # HW_i(form + <1>^(n - m)) for a rank-m form is HW_i(form) when i <= m
+    # and zero when i > m, as Stiefel-Whitney classes are stable under adding
+    # a trivial bundle
+    entries = tuple(Fraction(a) for a in (-1, -2, 3, -5, -6, 7))
+    fields = (REALS, BaseField.padics(2), BaseField.padics(3), RATIONALS)
     start = time.perf_counter()
     violations = []
-    for n in range(1, 7):
-        for m in range(1, n + 1):
-            for i in range(1, n + 1):
-                pulled = stabilization_pullback(i, n, m)
-                if i <= m:
-                    if pulled != FormalSymmetricPolynomial.elementary(i, m):
-                        violations.append((i, n, m))
-                elif not pulled.is_zero_polynomial:
-                    violations.append((i, n, m))
+    for field in fields:
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                form = DiagonalForm(entries[:m])
+                base = hasse_witt_vector(form, field)
+                stable = hasse_witt_vector(
+                    DiagonalForm(form.entries + (Fraction(1),) * (n - m)), field
+                )
+                for i in range(1, n + 1):
+                    expected = base[i] if i <= m else zero_class(field, i)
+                    if stable[i] != expected:
+                        violations.append((str(field), i, n, m))
     elapsed = time.perf_counter() - start
     ok = not violations
-    _report(capsys, 8, "stabilization pullbacks", ok, elapsed, "91 triples")
+    _report(capsys, 8, "stabilization", ok, elapsed, "91 triples over R, Q_2, Q_3, Q")
     assert not violations, violations
+
+
+def test_local_solvability_forces_zero_local_obstruction():
+    # the paper's claim at each completion Q_v: a local point makes o_{n+1}
+    # vanish over Q_v. The converse holds at inf, and at every place for rank
+    # at most 2, where o_{n+1} is [a] or the symbol (a, b)_v
+    violations = []
+    for form in criterion_family():
+        for v in relevant_places(form):
+            field = REALS if v.is_real else BaseField.padics(v.p)
+            zero = is_zero(top_obstruction(form, field))
+            solvable = _solvable_at(form, v)
+            if solvable and not zero:
+                violations.append((form.entries, str(v), "point but o != 0"))
+            if (v.is_real or form.rank <= 2) and zero and not solvable:
+                violations.append((form.entries, str(v), "o = 0 but no point"))
+    assert not violations, violations[:10]
 
 
 def test_criterion_9_finite_descent_example(capsys):

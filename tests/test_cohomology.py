@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -12,27 +13,20 @@ from hassewitt.cohomology import (
     RATIONALS,
     REALS,
     TWO_ADIC_REPS,
+    _padic_class_rep,
     add,
-    cohclass_from_json,
     cohclass_to_json,
     cup,
     h1,
     hilbert_symbol,
     is_zero,
-    padic_class_rep,
     reciprocity_holds,
     two_adic_class,
     zero_class,
 )
 from hassewitt.forms import DiagonalForm
 from hassewitt.localsolve import represents_one
-from hassewitt.rationals import (
-    REAL_PLACE,
-    Place,
-    padic_valuation,
-    squarefree_part,
-    unit_residue,
-)
+from hassewitt.rationals import REAL_PLACE, Place, _legendre, _split
 from hassewitt.solvability import relevant_places
 
 nonzero = st.fractions(min_value=-100, max_value=100, max_denominator=40).filter(
@@ -99,19 +93,17 @@ def test_two_adic_class_is_square_equivalent(q):
     rep = two_adic_class(q)
     ratio = q / rep
     # ratio must be a 2-adic square: even valuation, unit part 1 mod 8
-    assert padic_valuation(ratio, 2) % 2 == 0
-    assert unit_residue(ratio, 2, 3) == 1
+    v, u = _split(ratio, 2, 3)
+    assert v % 2 == 0 and u == 1
 
 
 @given(nonzero, st.sampled_from((3, 5, 7, 11)))
 @settings(max_examples=150)
 def test_padic_class_rep_is_square_equivalent(q, p):
-    rep = padic_class_rep(q, p)
+    rep = _padic_class_rep(q, p)
     ratio = Fraction(q) / rep
-    assert padic_valuation(ratio, p) % 2 == 0
-    from hassewitt.rationals import legendre_symbol
-
-    assert legendre_symbol(unit_residue(ratio, p), p) == 1
+    v, u = _split(ratio, p)
+    assert v % 2 == 0 and _legendre(u, p) == 1
 
 
 @given(nonzero, nonzero, places)
@@ -212,7 +204,8 @@ def test_degree_one_add_over_q_needs_no_factoring(a, b):
     c = add(class_of(*a), class_of(*b))
     product = a[0] * math.prod(a[1]) * b[0] * math.prod(b[1])
     assert c == h1(product, RATIONALS)
-    assert cohclass_to_json(c)["payload"] == squarefree_part(product)
+    squarefree = a[0] * b[0] * math.prod(a[1] ^ b[1])
+    assert cohclass_to_json(c)["payload"] == squarefree
 
 
 def test_cup_fixed_values():
@@ -328,7 +321,8 @@ def test_json_round_trip():
     ]
     for c in samples:
         doc = cohclass_to_json(c)
-        assert cohclass_from_json(doc) == c
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["field"] == str(c.field) and doc["degree"] == c.degree
         assert doc["zero"] == is_zero(c)
 
 
@@ -338,12 +332,4 @@ def test_degree_one_json_over_q_is_the_squarefree_integer():
         (h1(Fraction(5, 27), RATIONALS), 15),
         (zero_class(RATIONALS, 1), 1),
     ):
-        doc = cohclass_to_json(c)
-        assert doc["payload"] == payload
-        assert cohclass_from_json(doc) == c
-    doc = {"field": "Q", "degree": 1, "zero": False}
-    with pytest.raises(ValueError, match="not square-free"):
-        cohclass_from_json({**doc, "payload": 12})
-    for payload in (0, True, "6", ["2", "3"]):
-        with pytest.raises(ValueError):
-            cohclass_from_json({**doc, "payload": payload})
+        assert cohclass_to_json(c)["payload"] == payload

@@ -19,7 +19,7 @@ from hassewitt.forms import (
     matrix_from_json,
     matrix_to_json,
 )
-from hassewitt.rationals import REAL_PLACE, FactorizationLimitError, Place, squarefree_part
+from hassewitt.rationals import REAL_PLACE, FactorizationLimitError, Place
 
 entry = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 
@@ -145,8 +145,8 @@ def test_diagonalize_preserves_discriminant_class(rows):
         prod *= e
     # congruence scales det by a nonzero square
     ratio = prod / dd
-    assert squarefree_part(ratio) == 1
-    assert discriminant(d) == squarefree_part(dd)
+    assert discriminant(DiagonalForm.of(ratio)) == 1
+    assert discriminant(d) == discriminant(DiagonalForm.of(dd))
 
 
 def test_discriminant_values():

@@ -17,7 +17,7 @@ from hassewitt.localsolve import (
     min_precision,
     represents_one,
 )
-from hassewitt.rationals import as_rational, is_prime, padic_valuation, unit_residue
+from hassewitt.rationals import _split, as_rational, is_prime
 
 coeff = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
     lambda q: q != 0
@@ -40,8 +40,9 @@ def naive_verdict(coeffs, p, k):
 
     reduced = []
     for c in coeffs:
-        beta = padic_valuation(c, p) % 2
-        u = c / Fraction(p) ** padic_valuation(c, p)
+        v = _split(c, p)[0]
+        beta = v % 2
+        u = c / Fraction(p) ** v
         w = u.numerator * pow(u.denominator, -1, m) % m
         reduced.append(p**beta * w % m)
     best_t = None
@@ -51,7 +52,7 @@ def naive_verdict(coeffs, p, k):
             continue
         if any(y for y in ys):
             t = min(
-                v2 + padic_valuation(Fraction(c), p) % 2 + vp(y)
+                v2 + _split(Fraction(c), p)[0] % 2 + vp(y)
                 for c, y in zip(coeffs, ys)
             )
             best_t = t if best_t is None else min(best_t, t)
@@ -88,7 +89,7 @@ def residue_table_isotropic(coeffs, p, k=None):
     # residue mod p^k (faithful by the precision floor above). The Hensel
     # exponent of coordinate j at residue y is t = v_p(2) + beta_j + v_p(y).
     v2 = 1 if p == 2 else 0
-    reduced = [(padic_valuation(c, p) % 2, unit_residue(c, p, k)) for c in cs]
+    reduced = [(v % 2, w) for v, w in (_split(c, p, k) for c in cs)]
 
     big = k  # 2t < k already fails at t = ceil(k/2); cap valuations there
     unreach = big + 1
