@@ -10,11 +10,12 @@ product of the two sign characters, whichever paths are chosen.
 """
 
 from hassewitt.gerbe import (
+    ALL_MORPHISMS,
+    ALL_OBJECTS,
     CHI_A,
     CHI_B,
     GALOIS_GROUP,
     all_path_families,
-    build_groupoid,
     cohomologous,
     cup_character_cocycle,
     default_path_family,
@@ -23,10 +24,9 @@ from hassewitt.gerbe import (
     zero_cocycle,
 )
 
-g = build_groupoid()
-print(f"groupoid: {len(g.objects)} objects, {len(g.morphisms)} morphisms")
-for obj in g.objects:
-    loops = ", ".join(str(f).split(": ")[1] for f in g.loops_at(obj))
+print(f"groupoid: {len(ALL_OBJECTS)} objects, {len(ALL_MORPHISMS)} morphisms")
+for obj in ALL_OBJECTS:
+    loops = ", ".join(str(f).split(": ")[1] for f in ALL_MORPHISMS if f.src == f.dst == obj)
     print(f"  loops at {obj}: {loops}")
 
 # the distinguished family of connecting paths and its cocycle

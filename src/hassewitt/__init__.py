@@ -18,7 +18,6 @@ from .cohomology import (
     hilbert_symbol,
     is_zero,
     reciprocity_holds,
-    two_adic_class,
     zero_class,
 )
 from .forms import (
@@ -112,6 +111,5 @@ __all__ = [
     "solvable_over_Qp",
     "solvable_over_R",
     "top_obstruction",
-    "two_adic_class",
     "zero_class",
 ]

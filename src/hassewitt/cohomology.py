@@ -60,16 +60,8 @@ class BaseField:
             raise ValueError(f"{self.kind} takes no prime")
 
     @classmethod
-    def rationals(cls) -> "BaseField":
-        return cls("Q")
-
-    @classmethod
     def padics(cls, p: int) -> "BaseField":
         return cls("Qp", p)
-
-    @classmethod
-    def reals(cls) -> "BaseField":
-        return cls("R")
 
     def __str__(self) -> str:
         return f"Qp:{self.p}" if self.kind == "Qp" else self.kind
@@ -77,10 +69,8 @@ class BaseField:
     @classmethod
     def parse(cls, text: str) -> "BaseField":
         t = text.strip()
-        if t == "Q":
-            return cls.rationals()
-        if t == "R":
-            return cls.reals()
+        if t in ("Q", "R"):
+            return cls(t)
         if t.startswith("Qp:"):
             try:
                 return cls.padics(int(t[3:]))
@@ -89,8 +79,8 @@ class BaseField:
         raise ValueError(f"not a base field: {text!r}")
 
 
-RATIONALS = BaseField.rationals()
-REALS = BaseField.reals()
+RATIONALS = BaseField("Q")
+REALS = BaseField("R")
 _TWO = Place.finite(2)
 
 
@@ -124,19 +114,11 @@ def _finite_symbol(a: Rational, b: Rational, p: int) -> int:
     return sign
 
 
-def two_adic_class(q: Rational | int | str) -> int:
-    """Canonical representative of the square class of q in Q_2: one of +-1, +-2, +-5, +-10."""
-    q = as_rational(q)
-    if q == 0:
-        raise ValueError("zero has no square class")
-    v, u = _split(q, 2, 3)
-    return (2 if v % 2 else 1) * {1: 1, 3: -5, 5: 5, 7: -1}[u]
-
-
 def _padic_class_rep(q: Rational, p: int) -> int:
-    # for nonzero q and a certified prime p
+    # for nonzero q and a certified prime p; at 2 one of TWO_ADIC_REPS
     if p == 2:
-        return two_adic_class(q)
+        v, u = _split(q, 2, 3)
+        return (2 if v % 2 else 1) * {1: 1, 3: -5, 5: 5, 7: -1}[u]
     v, u = _split(q, p)
     unit = 1 if _legendre(u, p) == 1 else _least_nonresidue(p)
     return (p if v % 2 else 1) * unit

@@ -49,10 +49,6 @@ class DiagonalForm:
     def __iter__(self):
         return iter(self.entries)
 
-    def concat(self, other: "DiagonalForm") -> "DiagonalForm":
-        """Orthogonal sum: just concatenation of diagonals."""
-        return DiagonalForm(self.entries + other.entries)
-
     def __str__(self) -> str:
         return "<" + ", ".join(format_rational(a) for a in self.entries) + ">"
 

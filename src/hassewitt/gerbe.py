@@ -9,6 +9,8 @@ yields a normalized Z/2-valued 2-cocycle; its class is independent of the
 path choices and equals the cup product of the two sign characters.
 
 Everything is small enough to check exhaustively, and the tests do.
+`main_example_report` returns the whole `gerbe-verify` document, keys in
+order, and the CLI prints it as it is.
 """
 
 from __future__ import annotations
@@ -95,21 +97,10 @@ def identity_morphism(obj: GroupoidObject) -> GroupoidMorphism:
     return GroupoidMorphism(obj, obj, 0, 1)
 
 
-@dataclass(frozen=True)
-class Groupoid:
-    objects: tuple[GroupoidObject, ...]
-    morphisms: tuple[GroupoidMorphism, ...]
-
-    def loops_at(self, obj: GroupoidObject) -> tuple[GroupoidMorphism, ...]:
-        return tuple(f for f in self.morphisms if f.src == obj and f.dst == obj)
-
-
-def build_groupoid() -> Groupoid:
-    """The whole finite groupoid: 4 objects, 2 arrows per ordered pair, 32 total."""
-    morphisms = tuple(
-        f for s in ALL_OBJECTS for t in ALL_OBJECTS for f in morphisms_between(s, t)
-    )
-    return Groupoid(ALL_OBJECTS, morphisms)
+# the whole finite groupoid: 2 arrows per ordered pair of objects, 32 in all
+ALL_MORPHISMS = tuple(
+    f for s in ALL_OBJECTS for t in ALL_OBJECTS for f in morphisms_between(s, t)
+)
 
 
 def compose(g: GroupoidMorphism, f: GroupoidMorphism) -> GroupoidMorphism:
@@ -189,40 +180,39 @@ def loop_class(f: GroupoidMorphism) -> int:
 class TwoCocycle:
     """A normalized Z/2-valued 2-cocycle on the Klein four group.
 
-    Construction checks normalization and the cocycle identity, so every
-    instance is an honest cocycle.
+    `values` holds c(s, t) at 4 * i + j, for s and t at positions i and j of
+    GALOIS_GROUP. Construction checks normalization and the cocycle identity,
+    so every instance is an honest cocycle.
     """
 
     def __init__(self, values: dict[tuple[GaloisElement, GaloisElement], int]):
-        table = {}
+        table = []
         for s in GALOIS_GROUP:
             for t in GALOIS_GROUP:
-                if (s, t) not in values:
+                bit = values.get((s, t))
+                if bit is None:
                     raise ValueError(f"missing value at ({s}, {t})")
-                bit = values[s, t]
                 if bit not in (0, 1):
                     raise ValueError("cocycle values are bits")
-                table[s, t] = bit
-        if any(table[IDENTITY, t] or table[t, IDENTITY] for t in GALOIS_GROUP):
+                table.append(bit)
+        if any(table[k] or table[4 * k] for k in range(4)):
             raise ValueError("not normalized at the identity")
-        for s in GALOIS_GROUP:
-            for t in GALOIS_GROUP:
-                for u in GALOIS_GROUP:
-                    if table[t, u] ^ table[s * t, u] ^ table[s, t * u] ^ table[s, t]:
-                        raise ValueError(f"cocycle identity fails at ({s}, {t}, {u})")
-        self._table = table
+        # a position's bits say which roots it flips (1, sigma_a, sigma_b,
+        # sigma_ab), so the position of a product is the xor of the positions
+        for s, t, u in product(range(4), repeat=3):
+            if table[4 * t + u] ^ table[4 * (s ^ t) + u] ^ table[4 * s + (t ^ u)] ^ table[4 * s + t]:
+                g = GALOIS_GROUP
+                raise ValueError(f"cocycle identity fails at ({g[s]}, {g[t]}, {g[u]})")
+        self.values = tuple(table)
 
     def __call__(self, s: GaloisElement, t: GaloisElement) -> int:
-        return self._table[s, t]
+        return self.values[4 * GALOIS_GROUP.index(s) + GALOIS_GROUP.index(t)]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwoCocycle) and self._table == other._table
+        return isinstance(other, TwoCocycle) and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(_values(self))
-
-    def table(self) -> dict[tuple[GaloisElement, GaloisElement], int]:
-        return dict(self._table)
+        return hash(self.values)
 
 
 def zero_cocycle() -> TwoCocycle:
@@ -242,11 +232,6 @@ def coboundary(phi: dict[GaloisElement, int]) -> TwoCocycle:
     )
 
 
-def _values(c: TwoCocycle) -> tuple[int, ...]:
-    # the 16 values of c in a fixed order
-    return tuple(c(s, t) for s in GALOIS_GROUP for t in GALOIS_GROUP)
-
-
 @lru_cache(maxsize=1)
 def _all_coboundaries() -> frozenset[TwoCocycle]:
     out = set()
@@ -259,8 +244,7 @@ def _all_coboundaries() -> frozenset[TwoCocycle]:
 
 def _coset(c: TwoCocycle) -> frozenset[tuple[int, ...]]:
     # the class of c, as the values of c + b for every coboundary b
-    z = _values(c)
-    return frozenset(tuple(map(xor, z, _values(b))) for b in _all_coboundaries())
+    return frozenset(tuple(map(xor, c.values, b.values)) for b in _all_coboundaries())
 
 
 def cohomologous(c1: TwoCocycle, c2: TwoCocycle) -> bool:
@@ -348,37 +332,36 @@ def h2_census() -> int:
     tables, keep the cocycles, quotient by the coboundaries."""
     nonid = [g for g in GALOIS_GROUP if g != IDENTITY]
     pairs = [(s, t) for s in nonid for t in nonid]
-    cocycles = []
+    classes = set()
     for bits in product((0, 1), repeat=len(pairs)):
         values = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}
-        values.update(dict(zip(pairs, bits)))
+        values.update(zip(pairs, bits))
         try:
-            cocycles.append(TwoCocycle(values))
+            classes.add(_coset(TwoCocycle(values)))
         except ValueError:
             continue
-    return len({_coset(z) for z in cocycles})
+    return len(classes)
 
 
 def main_example_report() -> dict:
-    """The evidence for the main example, in one dict. "verified" is True iff
+    """The gerbe-verify document for the main example. "verified" is True iff
     the whole story holds: every path family yields a cocycle, all families
-    are pairwise cohomologous, and the common class is the (nonzero) cup
-    product of the two sign characters."""
-    cup = cup_character_cocycle(CHI_A, CHI_B)
-    cocycles = [obstruction_cocycle(f) for f in all_path_families()]
-    pairwise = all(
-        cohomologous(c1, c2)
-        for i, c1 in enumerate(cocycles)
-        for c2 in cocycles[i + 1 :]
-    )
-    matches_cup = all(cohomologous(c, cup) for c in cocycles)
-    nonzero = not cohomologous(cocycles[0], zero_cocycle())
+    share one class, and that class is the (nonzero) cup product of the two
+    sign characters. The table is the default family's cocycle."""
+    families = all_path_families()
+    cocycles = [obstruction_cocycle(f) for f in families]
+    classes = {_coset(c) for c in cocycles}
+    path_independent = len(classes) == 1
+    matches_cup = classes == {_coset(cup_character_cocycle(CHI_A, CHI_B))}
+    nonzero = _coset(zero_cocycle()) not in classes
+    table = cocycles[families.index(default_path_family())].values
     return {
         "families": len(cocycles),
-        "path_independent": pairwise,
+        "path_independent": path_independent,
         "matches_character_cup": matches_cup,
         "nonzero": nonzero,
         "census": h2_census(),
-        "verified": pairwise and matches_cup and nonzero,
-        "cocycle": obstruction_cocycle(default_path_family()),
+        "verified": path_independent and matches_cup and nonzero,
+        "labels": [str(g) for g in GALOIS_GROUP],
+        "cocycle_table": [list(table[4 * k : 4 * k + 4]) for k in range(4)],
     }

@@ -263,7 +263,7 @@ class Place:
     @classmethod
     def parse(cls, text: str) -> "Place":
         t = text.strip()
-        if t in ("inf", "oo", "real"):
+        if t == "inf":
             return cls.real()
         try:
             p = int(t)

@@ -23,13 +23,14 @@ from hassewitt.cohomology import (
 )
 from hassewitt.forms import DiagonalForm, SymmetricForm, diagonalize
 from hassewitt.gerbe import (
+    ALL_MORPHISMS,
+    ALL_OBJECTS,
     BASE_OBJECT,
     CHI_A,
     CHI_B,
     GroupoidMorphism,
     GroupoidObject,
     all_path_families,
-    build_groupoid,
     cohomologous,
     compose,
     cup_character_cocycle,
@@ -334,8 +335,7 @@ def test_criterion_9_finite_descent_example(capsys):
     start = time.perf_counter()
     checks = {}
 
-    g = build_groupoid()
-    checks["counts"] = len(g.objects) == 4 and len(g.morphisms) == 32
+    checks["counts"] = len(ALL_OBJECTS) == 4 and len(ALL_MORPHISMS) == 32
 
     f1 = GroupoidMorphism(BASE_OBJECT, GroupoidObject(-1, -1), 1, 1)  # i z
     f2 = GroupoidMorphism(GroupoidObject(-1, -1), GroupoidObject(-1, 1), 0, -1)

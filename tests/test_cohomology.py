@@ -21,7 +21,6 @@ from hassewitt.cohomology import (
     hilbert_symbol,
     is_zero,
     reciprocity_holds,
-    two_adic_class,
     zero_class,
 )
 from hassewitt.forms import DiagonalForm
@@ -78,19 +77,19 @@ def test_dyadic_formula_matches_the_residue_oracle():
 
 
 def test_two_adic_class_fixed_values():
-    assert two_adic_class(10) == 10
-    assert two_adic_class(-2) == -2
-    assert two_adic_class(6) == -10
-    assert two_adic_class(7) == -1
-    assert two_adic_class(3) == -5
-    assert two_adic_class(Fraction(1, 2)) == 2
-    assert two_adic_class(4) == 1
+    assert _padic_class_rep(10, 2) == 10
+    assert _padic_class_rep(-2, 2) == -2
+    assert _padic_class_rep(6, 2) == -10
+    assert _padic_class_rep(7, 2) == -1
+    assert _padic_class_rep(3, 2) == -5
+    assert _padic_class_rep(Fraction(1, 2), 2) == 2
+    assert _padic_class_rep(4, 2) == 1
 
 
 @given(nonzero)
 @settings(max_examples=150)
 def test_two_adic_class_is_square_equivalent(q):
-    rep = two_adic_class(q)
+    rep = _padic_class_rep(q, 2)
     ratio = q / rep
     # ratio must be a 2-adic square: even valuation, unit part 1 mod 8
     v, u = _split(ratio, 2, 3)

@@ -197,7 +197,7 @@ def test_whitney_fixed_example():
     # over Q: <-1> + <-1> must produce the cross term (-1, -1)
     d1, d2 = DiagonalForm.of(-1), DiagonalForm.of(-1)
     assert whitney_sum_check(d1, d2, RATIONALS)
-    v = hasse_witt_vector(d1.concat(d2), RATIONALS)
+    v = hasse_witt_vector(DiagonalForm(d1.entries + d2.entries), RATIONALS)
     assert v[2] == cup(h1(-1, RATIONALS), h1(-1, RATIONALS))
 
 
