@@ -48,10 +48,8 @@ from .rationals import (
     FactorizationLimitError,
     Place,
     REAL_PLACE,
-    Rational,
     as_rational,
     factor,
-    format_rational,
     is_prime,
 )
 from .solvability import (
@@ -79,7 +77,6 @@ __all__ = [
     "RATIONALS",
     "REALS",
     "REAL_PLACE",
-    "Rational",
     "SearchBudgetExceeded",
     "SolvabilityCertificate",
     "SymmetricForm",
@@ -93,7 +90,6 @@ __all__ = [
     "factor",
     "form_from_json",
     "form_to_json",
-    "format_rational",
     "h1",
     "hasse_invariant",
     "hasse_witt_vector",

@@ -4,7 +4,8 @@ One subcommand per library operation; all input and output is exact (rationals
 as "p/q" strings, never floats), and every output is a single JSON document on
 standard output. Exit codes: 0 computed, 1 usage or parse error, 2 domain
 error (degenerate form, zero coefficient, factorization limit, non-prime
-place, a point search that spends its work budget before it answers).
+place, a Gram matrix past the size cap, a point search that spends its work
+budget before it answers).
 
 Syntax errors in flag values (malformed JSON, a field tag that is not
 Q/R/Qp:<int>) are usage errors; well-formed values that fail semantic checks

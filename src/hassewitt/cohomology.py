@@ -26,12 +26,12 @@ from the brute-force residue oracle: the tests hold the two against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 
 from .rationals import (
     REAL_PLACE,
     Place,
-    Rational,
     _least_nonresidue,
     _legendre,
     _odd_primes,
@@ -84,7 +84,7 @@ REALS = BaseField("R")
 _TWO = Place.finite(2)
 
 
-def hilbert_symbol(a: Rational | int | str, b: Rational | int | str, v: Place) -> int:
+def hilbert_symbol(a: Fraction | int | str, b: Fraction | int | str, v: Place) -> int:
     """(a, b)_v in {+1, -1}: does z^2 = a x^2 + b y^2 have a nontrivial zero over the completion at v."""
     a = as_rational(a)
     b = as_rational(b)
@@ -95,7 +95,7 @@ def hilbert_symbol(a: Rational | int | str, b: Rational | int | str, v: Place) -
     return _finite_symbol(a, b, v.p)  # p certified by Place
 
 
-def _finite_symbol(a: Rational, b: Rational, p: int) -> int:
+def _finite_symbol(a: Fraction, b: Fraction, p: int) -> int:
     # (a, b)_p for nonzero a, b and a certified prime p, by the closed
     # formulas of Serre, A Course in Arithmetic, III.1.2, Theorem 1
     k = 3 if p == 2 else 1
@@ -114,7 +114,7 @@ def _finite_symbol(a: Rational, b: Rational, p: int) -> int:
     return sign
 
 
-def _padic_class_rep(q: Rational, p: int) -> int:
+def _padic_class_rep(q: Fraction, p: int) -> int:
     # for nonzero q and a certified prime p; at 2 one of TWO_ADIC_REPS
     if p == 2:
         v, u = _split(q, 2, 3)
@@ -158,8 +158,6 @@ class CohClass:
 
 def zero_class(field: BaseField, degree: int) -> CohClass:
     """The zero element of the (field, degree) group."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     kind = field.kind
     if kind == "Qp" and degree >= 3:
         return CohClass(field, degree, None)
@@ -175,7 +173,7 @@ def is_zero(c: CohClass) -> bool:
     return c == zero_class(c.field, c.degree)
 
 
-def h1(a: Rational | int | str, field: BaseField) -> CohClass:
+def h1(a: Fraction | int | str, field: BaseField) -> CohClass:
     """The degree-1 class [a] of a nonzero scalar: a modulo squares."""
     a = as_rational(a)
     if a == 0:
@@ -240,7 +238,7 @@ def add(c1: CohClass, c2: CohClass) -> CohClass:
     return CohClass(field, d, c1.payload ^ c2.payload)
 
 
-def reciprocity_holds(a: Rational | int | str, b: Rational | int | str) -> bool:
+def reciprocity_holds(a: Fraction | int | str, b: Fraction | int | str) -> bool:
     """Whether (a,b)_v = -1 at an even number of places. Only the real place,
     2 and the primes of odd valuation in a or b can be among them, the same
     support cup finds in degree 2 over Q."""

@@ -117,45 +117,33 @@ def inverse(f: GroupoidMorphism) -> GroupoidMorphism:
 
 @dataclass(frozen=True)
 class GaloisElement:
-    """An element of Gal = Z/2 x Z/2, recorded by which square roots it moves."""
+    """An element of Gal = Z/2 x Z/2 by its position in GALOIS_GROUP: bit 0
+    says it moves sqrt(a), bit 1 that it moves sqrt(-b)."""
 
-    flips_sqrt_a: int
-    flips_sqrt_minus_b: int
+    position: int
 
     def __post_init__(self) -> None:
-        if self.flips_sqrt_a not in (0, 1) or self.flips_sqrt_minus_b not in (0, 1):
-            raise ValueError("flip flags are bits")
+        if self.position not in range(4):
+            raise ValueError("a Galois element is a position in range(4)")
 
     def __mul__(self, other: "GaloisElement") -> "GaloisElement":
-        return GaloisElement(
-            self.flips_sqrt_a ^ other.flips_sqrt_a,
-            self.flips_sqrt_minus_b ^ other.flips_sqrt_minus_b,
-        )
+        return GaloisElement(self.position ^ other.position)
 
     def __str__(self) -> str:
-        return {
-            (0, 0): "1",
-            (1, 0): "sigma_a",
-            (0, 1): "sigma_b",
-            (1, 1): "sigma_ab",
-        }[self.flips_sqrt_a, self.flips_sqrt_minus_b]
+        return ("1", "sigma_a", "sigma_b", "sigma_ab")[self.position]
 
 
-IDENTITY = GaloisElement(0, 0)
-SIGMA_A = GaloisElement(1, 0)
-SIGMA_B = GaloisElement(0, 1)
-SIGMA_AB = GaloisElement(1, 1)
-GALOIS_GROUP = (IDENTITY, SIGMA_A, SIGMA_B, SIGMA_AB)
+GALOIS_GROUP = IDENTITY, SIGMA_A, SIGMA_B, SIGMA_AB = tuple(map(GaloisElement, range(4)))
 
 # the sign characters: chi(sigma) = [sigma moves the corresponding root]
-CHI_A = {g: g.flips_sqrt_a for g in GALOIS_GROUP}
-CHI_B = {g: g.flips_sqrt_minus_b for g in GALOIS_GROUP}
+CHI_A = {g: g.position & 1 for g in GALOIS_GROUP}
+CHI_B = {g: g.position >> 1 for g in GALOIS_GROUP}
 
 
 def galois_act_object(sigma: GaloisElement, obj: GroupoidObject) -> GroupoidObject:
     return GroupoidObject(
-        -obj.s_sign if sigma.flips_sqrt_a else obj.s_sign,
-        -obj.t_sign if sigma.flips_sqrt_minus_b else obj.t_sign,
+        -obj.s_sign if sigma.position & 1 else obj.s_sign,
+        -obj.t_sign if sigma.position & 2 else obj.t_sign,
     )
 
 
@@ -180,9 +168,9 @@ def loop_class(f: GroupoidMorphism) -> int:
 class TwoCocycle:
     """A normalized Z/2-valued 2-cocycle on the Klein four group.
 
-    `values` holds c(s, t) at 4 * i + j, for s and t at positions i and j of
-    GALOIS_GROUP. Construction checks normalization and the cocycle identity,
-    so every instance is an honest cocycle.
+    `values` holds c(s, t) at 4 * s.position + t.position. Construction
+    checks normalization and the cocycle identity, so every instance is an
+    honest cocycle.
     """
 
     def __init__(self, values: dict[tuple[GaloisElement, GaloisElement], int]):
@@ -197,8 +185,7 @@ class TwoCocycle:
                 table.append(bit)
         if any(table[k] or table[4 * k] for k in range(4)):
             raise ValueError("not normalized at the identity")
-        # a position's bits say which roots it flips (1, sigma_a, sigma_b,
-        # sigma_ab), so the position of a product is the xor of the positions
+        # the position of a product is the xor of the positions
         for s, t, u in product(range(4), repeat=3):
             if table[4 * t + u] ^ table[4 * (s ^ t) + u] ^ table[4 * s + (t ^ u)] ^ table[4 * s + t]:
                 g = GALOIS_GROUP
@@ -206,7 +193,7 @@ class TwoCocycle:
         self.values = tuple(table)
 
     def __call__(self, s: GaloisElement, t: GaloisElement) -> int:
-        return self.values[4 * GALOIS_GROUP.index(s) + GALOIS_GROUP.index(t)]
+        return self.values[4 * s.position + t.position]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TwoCocycle) and self.values == other.values

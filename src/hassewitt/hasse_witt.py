@@ -32,7 +32,6 @@ MAX_RANK = 256
 class HasseWittVector:
     """Classes (HW_1, ..., HW_n) of a rank-n diagonal form over one base field."""
 
-    field: BaseField
     classes: tuple[CohClass, ...]
 
     def __getitem__(self, index: int) -> CohClass:
@@ -57,7 +56,7 @@ def hasse_witt_vector(form: DiagonalForm, field: BaseField) -> HasseWittVector:
         for i in range(len(sigma) - 1, 0, -1):
             sigma[i] = add(sigma[i], cup(sigma[i - 1], x))
         sigma[0] = add(sigma[0], x)
-    return HasseWittVector(field, tuple(sigma))
+    return HasseWittVector(tuple(sigma))
 
 
 def top_obstruction(form: DiagonalForm, field: BaseField) -> CohClass:

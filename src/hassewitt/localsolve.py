@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import Rational, _require_prime, _split, as_rational
+from .rationals import _require_prime, _split, as_rational
 
 # Each coefficient costs about (number of orbits) * p^k steps, and p = 43 at
 # k = 3 already takes about half a second; beyond this cap a call is no
@@ -41,7 +41,7 @@ def default_precision(p: int) -> int:
 
 
 def represents_one(
-    coeffs: Sequence[Rational | int | str], p: int, k: int | None = None
+    coeffs: Sequence[Fraction | int | str], p: int, k: int | None = None
 ) -> bool:
     """True iff sum a_i x_i^2 = 1 has a solution over Q_p.
 
@@ -53,7 +53,7 @@ def represents_one(
 
 
 def isotropic(
-    coeffs: Sequence[Rational | int | str], p: int, k: int | None = None
+    coeffs: Sequence[Fraction | int | str], p: int, k: int | None = None
 ) -> bool:
     """True iff sum c_i y_i^2 = 0 has a nontrivial zero over Q_p.
 

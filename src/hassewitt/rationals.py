@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 # the first 13 primes: the trial divisors and the Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_t, the least strong pseudoprime to the first t of those bases (OEIS
@@ -51,7 +49,7 @@ class FactorizationLimitError(ValueError):
     """An integer could not be certified prime or split within the proven limits."""
 
 
-def as_rational(value: Rational | int | str) -> Rational:
+def as_rational(value: Fraction | int | str) -> Fraction:
     """Coerce to Fraction. Floats are refused: this package is exact or nothing."""
     if isinstance(value, Fraction):
         return value
@@ -67,11 +65,6 @@ def as_rational(value: Rational | int | str) -> Rational:
         except ValueError as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
-
-
-def format_rational(q: Rational) -> str:
-    """Render as 'p/q', or plain 'p' when the denominator is 1."""
-    return str(as_rational(q))
 
 
 def is_prime(n: int) -> bool:
@@ -189,7 +182,7 @@ def _spend(budget: list[int], steps: int, n: int) -> None:
         )
 
 
-def _odd_primes(q: Rational) -> list[int]:
+def _odd_primes(q: Fraction) -> list[int]:
     """The primes p with v_p(q) odd, for nonzero q: the finite places of q's
     square class. Numerator and denominator are coprime, so none repeats."""
     return [
@@ -200,7 +193,7 @@ def _odd_primes(q: Rational) -> list[int]:
     ]
 
 
-def _split(q: Rational, p: int, k: int = 1) -> tuple[int, int]:
+def _split(q: Fraction, p: int, k: int = 1) -> tuple[int, int]:
     """(v_p(q), the unit part of q mod p^k) for nonzero q and a certified prime
     p, in integers: at most one of numerator and denominator holds p."""
     n, d, v = q.numerator, q.denominator, 0

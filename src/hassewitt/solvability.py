@@ -16,7 +16,7 @@ import numpy as np
 
 from .cohomology import _padic_class_rep, hilbert_symbol
 from .forms import DiagonalForm, hasse_invariant
-from .rationals import REAL_PLACE, Place, factor, format_rational
+from .rationals import REAL_PLACE, Place, factor
 
 DEFAULT_SEARCH_HEIGHT = 100
 
@@ -52,9 +52,7 @@ class SolvabilityCertificate:
     def to_json(self) -> dict:
         return {
             "solvable": self.verdict,
-            "witness": None
-            if self.witness is None
-            else [format_rational(x) for x in self.witness],
+            "witness": None if self.witness is None else [str(x) for x in self.witness],
             "failing_place": None
             if self.failing_place is None
             else str(self.failing_place),
@@ -96,8 +94,10 @@ def _solvable_at(form: DiagonalForm, v: Place) -> bool:
 
 def relevant_places(form: DiagonalForm) -> list[Place]:
     """The real place, 2, and every odd prime dividing a numerator or
-    denominator of an entry, in that order: solvability everywhere reduces to
-    solvability at these (unramified odd completions come free)."""
+    denominator of an entry, in that order: solvability over Q reduces to
+    solvability at these. From rank 2 on the other odd completions come free.
+    A rank-1 <a> can fail there (<2> fails at 3), yet it passes at these places
+    only when a > 0 has every valuation even, that is, when a is a square."""
     odd: set[int] = set()
     for a in form.entries:
         for part in (a.numerator, a.denominator):

@@ -5,7 +5,9 @@ its runtime, and enforces the stated time bound. Frozen families and seeds
 keep every run identical.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -55,6 +57,11 @@ PLACES = [REAL_PLACE] + [Place.finite(p) for p in (2, 3, 5, 7)]
 
 FAMILY_SYMBOLS = (1, -1, 2, -2, 3, -3, 5, -5)
 SEARCH_HEIGHT = 100
+# sha256 of the family's (entries, point) pairs at SEARCH_HEIGHT and of its
+# certificate documents at search height 1, as JSON: a change to any witness,
+# verdict, failing place or checked place shows here
+FAMILY_POINTS_SHA256 = "6a784f1eacceaa8c0ab0ac251338c8e2b11a0fa08474afc667e92e0bd14008c0"
+FAMILY_CERTIFICATES_SHA256 = "d22fe4832d00ce70ed7ac18bcf5c78da586a01a8649c1ebe6c35c96e1e47d606"
 
 
 def criterion_family():
@@ -66,15 +73,16 @@ def criterion_family():
 
 @lru_cache(maxsize=None)
 def _search_hits() -> dict:
-    """Form entries -> whether a witness exists at the standard height.
+    """Form entries -> the point found at the standard height, or None.
 
     Computed once; the tests for the main theorem and for Hasse-Minkowski
     consistency quantify over the same 4680 searches.
     """
-    return {
-        form.entries: search_point(form, SEARCH_HEIGHT) is not None
-        for form in criterion_family()
-    }
+    return {form.entries: search_point(form, SEARCH_HEIGHT) for form in criterion_family()}
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 def _report(capsys, number, label, ok, elapsed, detail=""):
@@ -208,7 +216,7 @@ def test_criterion_4_witness_forces_zero_obstruction(capsys):
     violations = []
     witnessed = 0
     for form in criterion_family():
-        if not hits[form.entries]:
+        if hits[form.entries] is None:
             continue
         witnessed += 1
         if not is_zero(top_obstruction(form, RATIONALS)):
@@ -225,6 +233,12 @@ def test_criterion_4_witness_forces_zero_obstruction(capsys):
     )
     assert not violations, violations[:10]
     assert elapsed < 300.0
+    # every (entries, point) pair, pinned: a refactor keeps each witness
+    points = [
+        [[str(a) for a in entries], None if point is None else [str(x) for x in point]]
+        for entries, point in hits.items()
+    ]
+    assert _digest(points) == FAMILY_POINTS_SHA256
 
 
 def test_criterion_5_dimension_zero(capsys):
@@ -250,14 +264,17 @@ def test_criterion_6_hasse_minkowski_consistency(capsys):
     hits = _search_hits()
     violations = []
     solvable_count = 0
+    docs = []
     for form in criterion_family():
         # the verdict is height-independent; the tiny height just skips
         # re-running the witness search already done at the standard height
-        verdict = solvable_over_Q(form, search_height=1).verdict
+        cert = solvable_over_Q(form, search_height=1)
+        docs.append(cert.to_json())
+        verdict = cert.verdict
         solvable_count += verdict
         # both stated directions (search success implies a true verdict, a
         # false verdict implies the search fails) are this one implication
-        if hits[form.entries] and not verdict:
+        if hits[form.entries] is not None and not verdict:
             violations.append(form.entries)
     elapsed = time.perf_counter() - start
     ok = not violations
@@ -270,6 +287,7 @@ def test_criterion_6_hasse_minkowski_consistency(capsys):
         f"{solvable_count} of 4680 solvable",
     )
     assert not violations, violations[:10]
+    assert _digest(docs) == FAMILY_CERTIFICATES_SHA256
 
 
 def test_criterion_7_whitney_identity(capsys):

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +21,10 @@ except ImportError:  # pragma: no cover
 import hassewitt
 from hassewitt import cli, rationals
 from hassewitt.cohomology import BaseField, cohclass_to_json, h1, hilbert_symbol
-from hassewitt.forms import DiagonalForm, form_to_json
+from hassewitt.forms import MAX_SIZE, DiagonalForm, form_to_json
 from hassewitt.rationals import Place
 from hassewitt.solvability import search_point, solvable_over_Q
+from test_forms import dense_gram
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -203,6 +205,15 @@ def test_diag_output(capsys):
         "diagonal": ["2", "-1/2"],
     }
     validate("diag", doc)
+
+
+def test_diag_refuses_past_the_size_cap(capsys):
+    matrix = json.dumps(dense_gram(MAX_SIZE + 1))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diag", "--matrix", matrix)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
 
 
 def test_h1_and_hw_match_library(capsys):

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from hassewitt.cohomology import hilbert_symbol
 from hassewitt.forms import (
+    MAX_SIZE,
     DegenerateFormError,
     DiagonalForm,
     SymmetricForm,
@@ -81,7 +84,7 @@ def test_diagonal_form_basics():
     f = DiagonalForm.of(1, "-1/2", 3)
     assert f.rank == 3
     assert str(f) == "<1, -1/2, 3>"
-    assert list(f) == [Fraction(1), Fraction(-1, 2), Fraction(3)]
+    assert f.entries == (Fraction(1), Fraction(-1, 2), Fraction(3))
     with pytest.raises(DegenerateFormError):
         DiagonalForm.of(1, 0)
     with pytest.raises(ValueError):
@@ -114,6 +117,29 @@ def test_diagonalize_rejects_singular():
     # row 0 is zero while a later pair is not: refused at the first pivot
     with pytest.raises(DegenerateFormError):
         diagonalize(SymmetricForm.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
+
+
+def dense_gram(n, seed=0):
+    # a seeded symmetric matrix with entries in +-9, as the cap was sized on
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+    return rows
+
+
+def test_diagonalize_refuses_past_the_size_cap():
+    form = SymmetricForm.from_rows(dense_gram(MAX_SIZE + 1))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        diagonalize(form)
+    assert time.perf_counter() - start < 0.1
+    # the cap itself is still answered
+    ones = SymmetricForm.from_rows(
+        [[int(i == j) for j in range(MAX_SIZE)] for i in range(MAX_SIZE)]
+    )
+    assert diagonalize(ones)[1].rank == MAX_SIZE
 
 
 @given(symmetric_matrices())
@@ -186,10 +212,10 @@ def test_hasse_invariant_values():
 def test_hasse_invariant_of_orthogonal_sum(e1, e2, v):
     f1, f2 = DiagonalForm(tuple(e1)), DiagonalForm(tuple(e2))
     d1 = Fraction(1)
-    for a in f1:
+    for a in f1.entries:
         d1 *= a
     d2 = Fraction(1)
-    for a in f2:
+    for a in f2.entries:
         d2 *= a
     lhs = hasse_invariant(DiagonalForm(f1.entries + f2.entries), v)
     rhs = hasse_invariant(f1, v) * hasse_invariant(f2, v) * hilbert_symbol(d1, d2, v)

@@ -104,7 +104,7 @@ def test_galois_group_structure():
         assert s * s == IDENTITY
         assert s * IDENTITY == s
     with pytest.raises(ValueError):
-        GaloisElement(2, 0)
+        GaloisElement(4)
 
 
 def test_galois_action_on_objects():
@@ -157,6 +157,10 @@ def test_two_cocycle_validation():
         TwoCocycle({})  # missing values
     bad = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}
     bad[IDENTITY, SIGMA_A] = 1
+    with pytest.raises(ValueError, match="normalized"):
+        TwoCocycle(bad)
+    bad = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}
+    bad[SIGMA_A, IDENTITY] = 1  # the column side: c(s, 1) = 0 as well
     with pytest.raises(ValueError, match="normalized"):
         TwoCocycle(bad)
     bad = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}

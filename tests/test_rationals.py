@@ -16,7 +16,6 @@ from hassewitt.rationals import (
     _split,
     as_rational,
     factor,
-    format_rational,
     is_prime,
 )
 
@@ -57,7 +56,7 @@ def test_as_rational_rejects_floats_and_junk():
 
 def test_format_round_trip():
     for text in ("3/4", "-3/4", "7", "0", "-12"):
-        assert format_rational(as_rational(text)) == text
+        assert str(as_rational(text)) == text
 
 
 def test_squarefree_part_fixed_values():

@@ -111,6 +111,9 @@ def test_ramified_and_relevant_places():
     assert [str(v) for v in relevant_places(DiagonalForm.of("9/50", 7))] == [
         "inf", "2", "3", "5", "7"
     ]
+    # a rank-1 form can fail at a place left out: <2> at 3
+    assert relevant_places(DiagonalForm.of(2)) == [REAL_PLACE, Place.finite(2)]
+    assert not solvable_over_Qp(DiagonalForm.of(2), 3)
 
 
 @given(int_forms.filter(lambda f: f.rank >= 2), st.sampled_from((11, 13, 17, 19)))
@@ -121,6 +124,20 @@ def test_unramified_odd_places_never_obstruct(form, p):
     if Place.finite(p) in relevant_places(form):
         return
     assert solvable_over_Qp(form, p)
+
+
+scalars = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4).filter(
+    lambda q: q != 0
+)
+
+
+@given(st.one_of(scalars, scalars.map(lambda q: q * q)))
+@settings(max_examples=200, deadline=None)
+def test_rank_one_is_decided_at_the_relevant_places(a):
+    # <a> can fail at an odd place relevant_places leaves out, yet the places
+    # it lists already decide it: a > 0 with every valuation even
+    square = a > 0 and all(math.isqrt(n) ** 2 == n for n in (a.numerator, a.denominator))
+    assert solvable_over_Q(DiagonalForm((a,)), search_height=1).verdict == square
 
 
 def test_global_fixed_certificates():
