@@ -32,7 +32,7 @@ for obj in ALL_OBJECTS:
 # the distinguished family of connecting paths and its cocycle
 family = default_path_family()
 print("\nconnecting paths:")
-for sigma, path in family.items():
+for sigma, path in zip(GALOIS_GROUP, family):
     print(f"  {sigma}: {path}")
 
 cocycle = obstruction_cocycle(family)

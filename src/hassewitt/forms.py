@@ -170,7 +170,11 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(doc) -> SymmetricForm:
-    """Parse a JSON array of rows into a symmetric form."""
+    """Parse a JSON array of rows into a symmetric form. A row count or row
+    length past MAX_SIZE raises ValueError before any entry is converted."""
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
         raise ValueError("matrix must be a JSON array of arrays")
+    n = max([len(doc), *map(len, doc)])
+    if n > MAX_SIZE:
+        raise ValueError(f"size {n} exceeds the cap of {MAX_SIZE}")
     return SymmetricForm.from_rows(doc)

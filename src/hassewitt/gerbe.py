@@ -1,12 +1,17 @@
 """A finite groupoid model of a Klein-four descent problem on a conic.
 
-Four objects indexed by the sign choices for the two square roots (s, t)
-with s^2 = a and t^2 = -b; morphisms are the circle maps z -> c z^e with c a
+Four objects, one per choice of signs for the two square roots (s, t) with
+s^2 = a and t^2 = -b; morphisms are the circle maps z -> c z^e with c a
 fourth root of unity and e = +-1, admissible between two objects exactly
 when they respect the relation tying z to the roots. Loops at an object are
 {z, -z}, one bit. A family of connecting paths indexed by the Galois group
 yields a normalized Z/2-valued 2-cocycle; its class is independent of the
 path choices and equals the cup product of the two sign characters.
+
+One encoding throughout: an object and a Galois element are each a position
+in range(4) whose bit 0 negates s and bit 1 negates t, so acting and
+multiplying xor positions; a character, 1-cochain or path family is a
+4-tuple by position, and a 2-cocycle is 16 bits with c(s, t) at 4 * s + t.
 
 Everything is small enough to check exhaustively, and the tests do.
 `main_example_report` returns the whole `gerbe-verify` document, keys in
@@ -20,41 +25,39 @@ from functools import lru_cache
 from itertools import product
 from operator import xor
 
-# fourth roots of unity as exponents of i
-_ROOT_NAMES = {0: "1", 1: "i", 2: "-1", 3: "-i"}
+# fourth roots of unity, indexed by their exponent of i
+_ROOT_NAMES = ("1", "i", "-1", "-i")
 
 
 @dataclass(frozen=True)
 class GroupoidObject:
-    """A point of the descent groupoid: the signs chosen for the two roots."""
+    """A point of the descent groupoid by its position in range(4): bit 0
+    says s is negated, bit 1 that t is, against the base object (+, +)."""
 
-    s_sign: int
-    t_sign: int
+    position: int
 
     def __post_init__(self) -> None:
-        if self.s_sign not in (1, -1) or self.t_sign not in (1, -1):
-            raise ValueError("signs are +-1")
+        if self.position not in range(4):
+            raise ValueError("an object is a position in range(4)")
 
     def __str__(self) -> str:
-        fmt = {1: "+", -1: "-"}
-        return f"({fmt[self.s_sign]}, {fmt[self.t_sign]})"
+        return f"({'+-'[self.position & 1]}, {'+-'[self.position >> 1]})"
 
 
-BASE_OBJECT = GroupoidObject(1, 1)
+BASE_OBJECT = GroupoidObject(0)
 
-ALL_OBJECTS = tuple(GroupoidObject(s, t) for s in (1, -1) for t in (1, -1))
+# printed as (+, +), (+, -), (-, +), (-, -)
+ALL_OBJECTS = tuple(map(GroupoidObject, (0, 2, 1, 3)))
 
 
 def _admissible_labels(src: GroupoidObject, dst: GroupoidObject) -> tuple[int, int]:
     # The relation pins z_src^2 to one of +-z_dst^{+-2}:
     #   z_src^2 = ((rho_s + rho_t)/2) z_dst^2 + ((rho_s - rho_t)/2) z_dst^{-2}
-    # with rho_s = src.s/dst.s, rho_t = src.t/dst.t. Solving for z_src gives
+    # with rho_s = src.s/dst.s, rho_t = src.t/dst.t, which are -1 where the
+    # bits of src.position ^ dst.position are set. Solving for z_src gives
     # the coefficient parity (1 vs i times a sign) and the exponent.
-    rho_s = src.s_sign * dst.s_sign
-    rho_t = src.t_sign * dst.t_sign
-    parity = 0 if rho_s == 1 else 1
-    e = 1 if rho_s == rho_t else -1
-    return parity, e
+    flips = src.position ^ dst.position
+    return flips & 1, 1 if flips & 1 == flips >> 1 else -1
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,6 @@ class GaloisElement:
         if self.position not in range(4):
             raise ValueError("a Galois element is a position in range(4)")
 
-    def __mul__(self, other: "GaloisElement") -> "GaloisElement":
-        return GaloisElement(self.position ^ other.position)
-
     def __str__(self) -> str:
         return ("1", "sigma_a", "sigma_b", "sigma_ab")[self.position]
 
@@ -136,15 +136,19 @@ class GaloisElement:
 GALOIS_GROUP = IDENTITY, SIGMA_A, SIGMA_B, SIGMA_AB = tuple(map(GaloisElement, range(4)))
 
 # the sign characters: chi(sigma) = [sigma moves the corresponding root]
-CHI_A = {g: g.position & 1 for g in GALOIS_GROUP}
-CHI_B = {g: g.position >> 1 for g in GALOIS_GROUP}
+CHI_A = (0, 1, 0, 1)
+CHI_B = (0, 0, 1, 1)
+
+
+def _by_position(f, what: str) -> tuple[int, ...]:
+    f = tuple(f)
+    if len(f) != 4 or any(bit not in (0, 1) for bit in f):
+        raise ValueError(f"{what} is 4 bits, one per position")
+    return f
 
 
 def galois_act_object(sigma: GaloisElement, obj: GroupoidObject) -> GroupoidObject:
-    return GroupoidObject(
-        -obj.s_sign if sigma.position & 1 else obj.s_sign,
-        -obj.t_sign if sigma.position & 2 else obj.t_sign,
-    )
+    return GroupoidObject(sigma.position ^ obj.position)
 
 
 def galois_act(sigma: GaloisElement, f: GroupoidMorphism) -> GroupoidMorphism:
@@ -165,24 +169,23 @@ def loop_class(f: GroupoidMorphism) -> int:
     return f.c4 // 2
 
 
+@dataclass(frozen=True)
 class TwoCocycle:
     """A normalized Z/2-valued 2-cocycle on the Klein four group.
 
-    `values` holds c(s, t) at 4 * s.position + t.position. Construction
-    checks normalization and the cocycle identity, so every instance is an
-    honest cocycle.
+    `values` holds the 16 bits c(s, t) at 4 * s + t, from any iterable.
+    Construction checks normalization and the cocycle identity, so every
+    instance is an honest cocycle.
     """
 
-    def __init__(self, values: dict[tuple[GaloisElement, GaloisElement], int]):
-        table = []
-        for s in GALOIS_GROUP:
-            for t in GALOIS_GROUP:
-                bit = values.get((s, t))
-                if bit is None:
-                    raise ValueError(f"missing value at ({s}, {t})")
-                if bit not in (0, 1):
-                    raise ValueError("cocycle values are bits")
-                table.append(bit)
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        table = tuple(self.values)
+        if len(table) != 16:
+            raise ValueError(f"a 2-cocycle has 16 values, not {len(table)}")
+        if any(bit not in (0, 1) for bit in table):
+            raise ValueError("cocycle values are bits")
         if any(table[k] or table[4 * k] for k in range(4)):
             raise ValueError("not normalized at the identity")
         # the position of a product is the xor of the positions
@@ -190,43 +193,26 @@ class TwoCocycle:
             if table[4 * t + u] ^ table[4 * (s ^ t) + u] ^ table[4 * s + (t ^ u)] ^ table[4 * s + t]:
                 g = GALOIS_GROUP
                 raise ValueError(f"cocycle identity fails at ({g[s]}, {g[t]}, {g[u]})")
-        self.values = tuple(table)
+        object.__setattr__(self, "values", table)
 
     def __call__(self, s: GaloisElement, t: GaloisElement) -> int:
         return self.values[4 * s.position + t.position]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoCocycle) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
 
 def zero_cocycle() -> TwoCocycle:
-    return TwoCocycle({(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP})
+    return TwoCocycle((0,) * 16)
 
 
-def coboundary(phi: dict[GaloisElement, int]) -> TwoCocycle:
-    """d(phi)(s, t) = phi(s) + phi(t) + phi(st) for a normalized 1-cochain."""
-    if phi.get(IDENTITY, 0) != 0:
-        raise ValueError("1-cochains are normalized: phi(1) = 0")
-    return TwoCocycle(
-        {
-            (s, t): phi.get(s, 0) ^ phi.get(t, 0) ^ phi.get(s * t, 0)
-            for s in GALOIS_GROUP
-            for t in GALOIS_GROUP
-        }
-    )
+def coboundary(phi) -> TwoCocycle:
+    """d(phi)(s, t) = phi(s) + phi(t) + phi(st) for a 1-cochain phi given as
+    4 bits by position; phi(1) = 1 leaves d(phi) unnormalized, so it raises."""
+    phi = _by_position(phi, "a 1-cochain")
+    return TwoCocycle(phi[s] ^ phi[t] ^ phi[s ^ t] for s in range(4) for t in range(4))
 
 
 @lru_cache(maxsize=1)
 def _all_coboundaries() -> frozenset[TwoCocycle]:
-    out = set()
-    for bits in product((0, 1), repeat=3):
-        phi = dict(zip((SIGMA_A, SIGMA_B, SIGMA_AB), bits))
-        phi[IDENTITY] = 0
-        out.add(coboundary(phi))
-    return frozenset(out)
+    return frozenset(coboundary((0, *bits)) for bits in product((0, 1), repeat=3))
 
 
 def _coset(c: TwoCocycle) -> frozenset[tuple[int, ...]]:
@@ -241,63 +227,48 @@ def cohomologous(c1: TwoCocycle, c2: TwoCocycle) -> bool:
     return _coset(c1) == _coset(c2)
 
 
-def cup_character_cocycle(
-    chi1: dict[GaloisElement, int], chi2: dict[GaloisElement, int]
-) -> TwoCocycle:
-    """The cup product of two characters: (s, t) -> chi1(s) * chi2(t)."""
+def cup_character_cocycle(chi1, chi2) -> TwoCocycle:
+    """The cup product of two characters, each 4 bits by position:
+    (s, t) -> chi1(s) * chi2(t)."""
+    chi1, chi2 = (_by_position(chi, "a character") for chi in (chi1, chi2))
     for chi in (chi1, chi2):
-        if chi.get(IDENTITY, 0) != 0:
-            raise ValueError("characters send the identity to 0")
-        for s in GALOIS_GROUP:
-            for t in GALOIS_GROUP:
-                if chi[s * t] != chi[s] ^ chi[t]:
-                    raise ValueError("not a character")
-    return TwoCocycle(
-        {(s, t): chi1[s] & chi2[t] for s in GALOIS_GROUP for t in GALOIS_GROUP}
-    )
+        # s = t = 1 forces chi(1) = 0
+        if any(chi[s ^ t] != chi[s] ^ chi[t] for s, t in product(range(4), repeat=2)):
+            raise ValueError("not a character")
+    return TwoCocycle(chi1[s] & chi2[t] for s in range(4) for t in range(4))
 
 
-PathFamily = dict[GaloisElement, GroupoidMorphism]
+PathFamily = tuple[GroupoidMorphism, ...]
 
 
 def obstruction_cocycle(paths: PathFamily) -> TwoCocycle:
-    """The descent 2-cocycle of a family of connecting paths gamma.
+    """The descent 2-cocycle of a family of connecting paths gamma, with
+    gamma_sigma at the position of sigma.
 
     Needs gamma_1 = id at the base object and gamma_sigma: base -> sigma(base).
     The value at (sigma, tau) is the class of the loop
     gamma_{sigma tau}^{-1} o sigma(gamma_tau) o gamma_sigma.
     """
-    for sigma in GALOIS_GROUP:
-        if sigma not in paths:
-            raise ValueError(f"missing path for {sigma}")
-        f = paths[sigma]
+    if len(paths) != 4:
+        raise ValueError(f"a path family has one path per Galois element, not {len(paths)}")
+    for sigma, f in zip(GALOIS_GROUP, paths):
         if f.src != BASE_OBJECT or f.dst != galois_act_object(sigma, BASE_OBJECT):
             raise ValueError(f"path for {sigma} must run base -> {sigma}(base)")
-    if paths[IDENTITY] != identity_morphism(BASE_OBJECT):
+    if paths[0] != identity_morphism(BASE_OBJECT):
         raise ValueError("the identity path must be the identity morphism")
-    values = {}
-    for sigma in GALOIS_GROUP:
-        for tau in GALOIS_GROUP:
-            loop = compose(
-                inverse(paths[sigma * tau]),
-                compose(galois_act(sigma, paths[tau]), paths[sigma]),
-            )
-            values[sigma, tau] = loop_class(loop)
-    return TwoCocycle(values)
+    return TwoCocycle(
+        loop_class(
+            compose(inverse(paths[s ^ t]), compose(galois_act(GALOIS_GROUP[s], paths[t]), paths[s]))
+        )
+        for s in range(4)
+        for t in range(4)
+    )
 
 
 def all_path_families() -> tuple[PathFamily, ...]:
     """Every choice of connecting paths: two arrows per nonidentity element."""
-    choices = [
-        morphisms_between(BASE_OBJECT, galois_act_object(sigma, BASE_OBJECT))
-        for sigma in (SIGMA_A, SIGMA_B, SIGMA_AB)
-    ]
-    out = []
-    for pick in product(*choices):
-        family: PathFamily = {IDENTITY: identity_morphism(BASE_OBJECT)}
-        family.update(zip((SIGMA_A, SIGMA_B, SIGMA_AB), pick))
-        out.append(family)
-    return tuple(out)
+    choices = [morphisms_between(BASE_OBJECT, GroupoidObject(k)) for k in (1, 2, 3)]
+    return tuple((identity_morphism(BASE_OBJECT), *pick) for pick in product(*choices))
 
 
 def default_path_family() -> PathFamily:
@@ -306,23 +277,21 @@ def default_path_family() -> PathFamily:
     Spelled out: gamma_{sigma_a} = i z^{-1}, gamma_{sigma_b} = z^{-1},
     gamma_{sigma_ab} = i z.
     """
-    return {
-        IDENTITY: identity_morphism(BASE_OBJECT),
-        SIGMA_A: GroupoidMorphism(BASE_OBJECT, GroupoidObject(-1, 1), 1, -1),
-        SIGMA_B: GroupoidMorphism(BASE_OBJECT, GroupoidObject(1, -1), 0, -1),
-        SIGMA_AB: GroupoidMorphism(BASE_OBJECT, GroupoidObject(-1, -1), 1, 1),
-    }
+    return (
+        identity_morphism(BASE_OBJECT),
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(1), 1, -1),
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(2), 0, -1),
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(3), 1, 1),
+    )
 
 
 def h2_census() -> int:
     """Number of classes of normalized 2-cocycles: enumerate all 2^9 candidate
-    tables, keep the cocycles, quotient by the coboundaries."""
-    nonid = [g for g in GALOIS_GROUP if g != IDENTITY]
-    pairs = [(s, t) for s in nonid for t in nonid]
+    tables (row and column 1 are 0), keep the cocycles, quotient by the
+    coboundaries."""
     classes = set()
-    for bits in product((0, 1), repeat=len(pairs)):
-        values = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}
-        values.update(zip(pairs, bits))
+    for bits in product((0, 1), repeat=9):
+        values = (0, 0, 0, 0, 0, *bits[0:3], 0, *bits[3:6], 0, *bits[6:9])
         try:
             classes.add(_coset(TwoCocycle(values)))
         except ValueError:

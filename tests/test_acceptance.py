@@ -355,9 +355,9 @@ def test_criterion_9_finite_descent_example(capsys):
 
     checks["counts"] = len(ALL_OBJECTS) == 4 and len(ALL_MORPHISMS) == 32
 
-    f1 = GroupoidMorphism(BASE_OBJECT, GroupoidObject(-1, -1), 1, 1)  # i z
-    f2 = GroupoidMorphism(GroupoidObject(-1, -1), GroupoidObject(-1, 1), 0, -1)
-    f3 = GroupoidMorphism(GroupoidObject(-1, 1), BASE_OBJECT, 1, -1)  # i z^-1
+    f1 = GroupoidMorphism(BASE_OBJECT, GroupoidObject(3), 1, 1)  # i z
+    f2 = GroupoidMorphism(GroupoidObject(3), GroupoidObject(1), 0, -1)
+    f3 = GroupoidMorphism(GroupoidObject(1), BASE_OBJECT, 1, -1)  # i z^-1
     out = compose(f3, compose(f2, f1))
     checks["composite"] = (out.c4, out.e) == (2, 1) and loop_class(out) == 1
 

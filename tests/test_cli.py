@@ -208,12 +208,15 @@ def test_diag_output(capsys):
 
 
 def test_diag_refuses_past_the_size_cap(capsys):
-    matrix = json.dumps(dense_gram(MAX_SIZE + 1))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "diag", "--matrix", matrix)
-    assert time.perf_counter() - start < 0.1
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "cap" in err
+    # at 600 rows the refusal must not first convert or compare the n^2
+    # entries; a single row past the cap is refused by its length
+    for rows in (dense_gram(MAX_SIZE + 1), dense_gram(600), [[1] * 600]):
+        matrix = json.dumps(rows)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "diag", "--matrix", matrix)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"exceeds the cap of {MAX_SIZE}" in err
 
 
 def test_h1_and_hw_match_library(capsys):

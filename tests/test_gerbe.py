@@ -44,6 +44,7 @@ def composable_pairs():
 
 def test_groupoid_counts():
     assert len(ALL_OBJECTS) == 4
+    assert [str(obj) for obj in ALL_OBJECTS] == ["(+, +)", "(+, -)", "(-, +)", "(-, -)"]
     assert len(ALL_MORPHISMS) == 32
     for obj in ALL_OBJECTS:
         loops = [f for f in ALL_MORPHISMS if f.src == f.dst == obj]
@@ -60,20 +61,20 @@ def test_morphism_admissibility():
     with pytest.raises(ValueError):
         GroupoidMorphism(BASE_OBJECT, BASE_OBJECT, 1, 1)  # odd coefficient on a loop
     with pytest.raises(ValueError):
-        GroupoidMorphism(BASE_OBJECT, GroupoidObject(-1, -1), 0, 1)  # needs odd c4
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(3), 0, 1)  # needs odd c4
     with pytest.raises(ValueError):
-        GroupoidMorphism(BASE_OBJECT, GroupoidObject(-1, 1), 1, 1)  # needs e = -1
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(1), 1, 1)  # needs e = -1
     with pytest.raises(ValueError):
         GroupoidMorphism(BASE_OBJECT, BASE_OBJECT, 5, 1)
     with pytest.raises(ValueError):
         GroupoidMorphism(BASE_OBJECT, BASE_OBJECT, 0, 0)
     with pytest.raises(ValueError):
-        GroupoidObject(2, 1)
+        GroupoidObject(4)
 
 
 def test_compose_rejects_endpoint_mismatch():
     f = identity_morphism(BASE_OBJECT)
-    g = identity_morphism(GroupoidObject(-1, 1))
+    g = identity_morphism(GroupoidObject(1))
     with pytest.raises(ValueError):
         compose(g, f)
 
@@ -98,11 +99,16 @@ def test_category_axioms_exhaustively():
 
 
 def test_galois_group_structure():
-    assert SIGMA_A * SIGMA_B == SIGMA_AB
-    assert SIGMA_AB * SIGMA_A == SIGMA_B
+    # the product of two elements is the element at the xor of their positions
+    assert [g.position for g in GALOIS_GROUP] == [0, 1, 2, 3]
+    act = galois_act_object
+    assert str(act(SIGMA_A, BASE_OBJECT)) == "(-, +)"
+    assert str(act(SIGMA_B, BASE_OBJECT)) == "(+, -)"
+    assert act(SIGMA_A, act(SIGMA_B, BASE_OBJECT)) == act(SIGMA_AB, BASE_OBJECT)
+    assert act(SIGMA_AB, act(SIGMA_A, BASE_OBJECT)) == act(SIGMA_B, BASE_OBJECT)
     for s in GALOIS_GROUP:
-        assert s * s == IDENTITY
-        assert s * IDENTITY == s
+        for obj in ALL_OBJECTS:
+            assert act(s, act(s, obj)) == obj
     with pytest.raises(ValueError):
         GaloisElement(4)
 
@@ -113,7 +119,8 @@ def test_galois_action_on_objects():
     for s in GALOIS_GROUP:
         for t in GALOIS_GROUP:
             for obj in ALL_OBJECTS:
-                assert galois_act_object(s * t, obj) == galois_act_object(
+                st = GALOIS_GROUP[s.position ^ t.position]
+                assert galois_act_object(st, obj) == galois_act_object(
                     s, galois_act_object(t, obj)
                 )
     # the action on objects is simply transitive
@@ -139,38 +146,46 @@ def test_loop_class():
     assert loop_class(plus) == 0
     assert loop_class(minus) == 1
     with pytest.raises(ValueError):
-        loop_class(morphisms_between(BASE_OBJECT, GroupoidObject(-1, 1))[0])
+        loop_class(morphisms_between(BASE_OBJECT, GroupoidObject(1))[0])
 
 
 def test_worked_composite():
     # (i, -1) o (1, -1) o (i, +1), read right to left from the base object
-    f1 = GroupoidMorphism(BASE_OBJECT, GroupoidObject(-1, -1), 1, 1)
-    f2 = GroupoidMorphism(GroupoidObject(-1, -1), GroupoidObject(-1, 1), 0, -1)
-    f3 = GroupoidMorphism(GroupoidObject(-1, 1), BASE_OBJECT, 1, -1)
+    f1 = GroupoidMorphism(BASE_OBJECT, GroupoidObject(3), 1, 1)
+    f2 = GroupoidMorphism(GroupoidObject(3), GroupoidObject(1), 0, -1)
+    f3 = GroupoidMorphism(GroupoidObject(1), BASE_OBJECT, 1, -1)
     out = compose(f3, compose(f2, f1))
     assert (out.c4, out.e) == (2, 1)  # the loop z -> -z
     assert loop_class(out) == 1
 
 
+def one_bit_table(s, t):
+    values = [0] * 16
+    values[4 * s.position + t.position] = 1
+    return values
+
+
 def test_two_cocycle_validation():
     with pytest.raises(ValueError):
-        TwoCocycle({})  # missing values
-    bad = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}
-    bad[IDENTITY, SIGMA_A] = 1
+        TwoCocycle(())  # missing values
+    with pytest.raises(ValueError, match="16 values"):
+        TwoCocycle([0] * 15)
     with pytest.raises(ValueError, match="normalized"):
-        TwoCocycle(bad)
-    bad = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}
-    bad[SIGMA_A, IDENTITY] = 1  # the column side: c(s, 1) = 0 as well
+        TwoCocycle(one_bit_table(IDENTITY, SIGMA_A))
+    # the column side: c(s, 1) = 0 as well
     with pytest.raises(ValueError, match="normalized"):
-        TwoCocycle(bad)
-    bad = {(s, t): 0 for s in GALOIS_GROUP for t in GALOIS_GROUP}
-    bad[SIGMA_A, SIGMA_A] = 1  # lone nonzero entry breaks the cocycle identity
+        TwoCocycle(one_bit_table(SIGMA_A, IDENTITY))
+    # lone nonzero entry breaks the cocycle identity
     with pytest.raises(ValueError, match="identity fails"):
-        TwoCocycle(bad)
+        TwoCocycle(one_bit_table(SIGMA_A, SIGMA_A))
     with pytest.raises(ValueError):
-        coboundary({IDENTITY: 1})
+        coboundary((1, 0, 0, 0))
+    with pytest.raises(ValueError, match="4 bits"):
+        coboundary((0, 1, 1))
     with pytest.raises(ValueError):
-        cup_character_cocycle({s: 1 for s in GALOIS_GROUP}, CHI_A)
+        cup_character_cocycle((1, 1, 1, 1), CHI_A)
+    with pytest.raises(ValueError, match="4 bits"):
+        cup_character_cocycle((0, 1, 0), CHI_A)
 
 
 def test_coboundaries():
@@ -201,17 +216,13 @@ def test_all_families_give_one_class():
 
 def test_obstruction_cocycle_rejects_bad_families():
     fam = default_path_family()
-    del fam[SIGMA_B]
+    with pytest.raises(ValueError, match="not 3"):
+        obstruction_cocycle(fam[:3])
+    minus_one = morphisms_between(BASE_OBJECT, BASE_OBJECT)[1]
     with pytest.raises(ValueError):
-        obstruction_cocycle(fam)
-    fam = default_path_family()
-    fam[IDENTITY] = morphisms_between(BASE_OBJECT, BASE_OBJECT)[1]
+        obstruction_cocycle((minus_one, *fam[1:]))
     with pytest.raises(ValueError):
-        obstruction_cocycle(fam)
-    fam = default_path_family()
-    fam[SIGMA_A] = fam[SIGMA_AB]  # wrong target object
-    with pytest.raises(ValueError):
-        obstruction_cocycle(fam)
+        obstruction_cocycle((fam[0], fam[3], *fam[2:]))  # wrong target object
 
 
 def test_character_cups_are_distinct_classes():

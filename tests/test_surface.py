@@ -11,11 +11,11 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def used_names(node):
-    # names read, attributes taken and names imported: comments and
-    # docstrings do not count
+    # names read, attributes taken and names imported: comments, docstrings
+    # and assignment targets do not count
     names = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             names.add(n.id)
         elif isinstance(n, ast.Attribute):
             names.add(n.attr)
