@@ -140,11 +140,11 @@ CHI_A = (0, 1, 0, 1)
 CHI_B = (0, 0, 1, 1)
 
 
-def _by_position(f, what: str) -> tuple[int, ...]:
-    f = tuple(f)
-    if len(f) != 4 or any(bit not in (0, 1) for bit in f):
-        raise ValueError(f"{what} is 4 bits, one per position")
-    return f
+def _bits(values, n: int, what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if len(values) != n or any(bit not in (0, 1) for bit in values):
+        raise ValueError(f"{what} is {n} bits")
+    return values
 
 
 def galois_act_object(sigma: GaloisElement, obj: GroupoidObject) -> GroupoidObject:
@@ -181,11 +181,7 @@ class TwoCocycle:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        table = tuple(self.values)
-        if len(table) != 16:
-            raise ValueError(f"a 2-cocycle has 16 values, not {len(table)}")
-        if any(bit not in (0, 1) for bit in table):
-            raise ValueError("cocycle values are bits")
+        table = _bits(self.values, 16, "a 2-cocycle")
         if any(table[k] or table[4 * k] for k in range(4)):
             raise ValueError("not normalized at the identity")
         # the position of a product is the xor of the positions
@@ -206,7 +202,7 @@ def zero_cocycle() -> TwoCocycle:
 def coboundary(phi) -> TwoCocycle:
     """d(phi)(s, t) = phi(s) + phi(t) + phi(st) for a 1-cochain phi given as
     4 bits by position; phi(1) = 1 leaves d(phi) unnormalized, so it raises."""
-    phi = _by_position(phi, "a 1-cochain")
+    phi = _bits(phi, 4, "a 1-cochain")
     return TwoCocycle(phi[s] ^ phi[t] ^ phi[s ^ t] for s in range(4) for t in range(4))
 
 
@@ -230,7 +226,7 @@ def cohomologous(c1: TwoCocycle, c2: TwoCocycle) -> bool:
 def cup_character_cocycle(chi1, chi2) -> TwoCocycle:
     """The cup product of two characters, each 4 bits by position:
     (s, t) -> chi1(s) * chi2(t)."""
-    chi1, chi2 = (_by_position(chi, "a character") for chi in (chi1, chi2))
+    chi1, chi2 = (_bits(chi, 4, "a character") for chi in (chi1, chi2))
     for chi in (chi1, chi2):
         # s = t = 1 forces chi(1) = 0
         if any(chi[s ^ t] != chi[s] ^ chi[t] for s, t in product(range(4), repeat=2)):

@@ -168,7 +168,7 @@ def one_bit_table(s, t):
 def test_two_cocycle_validation():
     with pytest.raises(ValueError):
         TwoCocycle(())  # missing values
-    with pytest.raises(ValueError, match="16 values"):
+    with pytest.raises(ValueError, match="16 bits"):
         TwoCocycle([0] * 15)
     with pytest.raises(ValueError, match="normalized"):
         TwoCocycle(one_bit_table(IDENTITY, SIGMA_A))
