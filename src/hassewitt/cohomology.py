@@ -31,6 +31,7 @@ from math import prod
 
 from .rationals import (
     REAL_PLACE,
+    _TWO_PLACE,
     Place,
     _least_nonresidue,
     _legendre,
@@ -81,7 +82,6 @@ class BaseField:
 
 RATIONALS = BaseField("Q")
 REALS = BaseField("R")
-_TWO = Place.finite(2)
 
 
 def hilbert_symbol(a: Fraction | int | str, b: Fraction | int | str, v: Place) -> int:
@@ -204,7 +204,7 @@ def _symbol_support(x: frozenset, y: frozenset) -> frozenset:
     # Q: only inf, 2 and the places of x and y can qualify, since (a, b)_v = +1
     # at every odd prime dividing neither a nor b
     a, b = _squarefree(x), _squarefree(y)
-    return frozenset(v for v in x | y | {REAL_PLACE, _TWO} if hilbert_symbol(a, b, v) == -1)
+    return frozenset(v for v in x | y | {REAL_PLACE, _TWO_PLACE} if hilbert_symbol(a, b, v) == -1)
 
 
 def cup(c1: CohClass, c2: CohClass) -> CohClass:

@@ -266,3 +266,4 @@ class Place:
 
 
 REAL_PLACE = Place.real()
+_TWO_PLACE = Place._certified(2)

@@ -9,6 +9,7 @@ finitely many completions, and a bounded point search looks for a witness.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cohomology import _padic_class_rep, hilbert_symbol
 from .forms import DiagonalForm, hasse_invariant
-from .rationals import REAL_PLACE, Place, factor
+from .rationals import REAL_PLACE, _TWO_PLACE, Place, factor
 
 DEFAULT_SEARCH_HEIGHT = 100
 
@@ -97,12 +98,24 @@ def relevant_places(form: DiagonalForm) -> list[Place]:
     denominator of an entry, in that order: solvability over Q reduces to
     solvability at these. From rank 2 on the other odd completions come free.
     A rank-1 <a> can fail there (<2> fails at 3), yet it passes at these places
-    only when a > 0 has every valuation even, that is, when a is a square."""
+    only when a > 0 has every valuation even, that is, when a is a square.
+
+    The real place and 2 are decided before any entry is factored:
+    solvable_over_Q walks the same places lazily, so a form that fails at
+    either answers even when one of its entries cannot be factored."""
+    return list(_places(form))
+
+
+def _places(form: DiagonalForm) -> Iterator[Place]:
+    # the one place order: the entries are factored only after the real place
+    # and 2 have been yielded
+    yield REAL_PLACE
+    yield _TWO_PLACE
     odd: set[int] = set()
     for a in form.entries:
         for part in (a.numerator, a.denominator):
             odd.update(p for p in factor(part) if p != 2)
-    return [REAL_PLACE, Place._certified(2)] + [Place._certified(p) for p in sorted(odd)]
+    yield from map(Place._certified, sorted(odd))
 
 
 def solvable_over_Q(
@@ -110,17 +123,20 @@ def solvable_over_Q(
 ) -> SolvabilityCertificate:
     """Hasse-Minkowski verdict with evidence.
 
-    Checks the real place, then each relevant prime in order; the first
-    failure is recorded. When every completion passes, the verdict is True
-    and a bounded point search tries to attach a witness (absence of a
-    witness within the height bound, or a search that runs out of its work
-    budget, proves nothing and demotes nothing: the witness is None).
-    A search_height below 1 raises ValueError before any place is checked.
+    Checks the real place, then 2, then each odd relevant prime in order; the
+    first failure is recorded. The real place and 2 are decided before any
+    entry is factored, so a form that fails at either answers even when one
+    of its entries cannot be factored. When every completion passes, the
+    verdict is True and a bounded point search tries to attach a witness
+    (absence of a witness within the height bound, or a search that runs out
+    of its work budget, proves nothing and demotes nothing: the witness is
+    None). A search_height below 1 raises ValueError before any place is
+    checked.
     """
     if search_height < 1:
         raise ValueError("height must be positive")
     checked: list[Place] = []
-    for v in relevant_places(form):
+    for v in _places(form):
         checked.append(v)
         if not _solvable_at(form, v):
             return SolvabilityCertificate(False, None, v, tuple(checked))

@@ -127,12 +127,17 @@ def test_large_factors_answer_or_refuse(capsys):
     # a prime place above 10^12
     doc = run_json(capsys, "hilbert", "-a", "3", "-b", "5", "--place", "1000000000039")
     assert doc == {"symbol": 1}
-    # two 16-digit primes outlast the rho budget: a domain error, not a hang
+    # two 16-digit primes outlast the rho budget: a domain error, not a hang,
+    # once the form passes the real place and 2 and its entries are factored
     semiprime = str(1000000000000037 * 1000000000000091)
-    code, out, err = run(capsys, "solvable", "--form", f"[{semiprime}, 3]")
+    code, out, err = run(capsys, "solvable", "--form", f"[{semiprime}, 1]")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "rho iterations" in err
+    # the same entry in a form that fails at 2 needs no factoring
+    doc = run_json(capsys, "solvable", "--form", f"[{semiprime}, 3]")
+    assert doc["failing_place"] == "2"
+    assert doc["checked_places"] == ["inf", "2"]
 
 
 def test_human_flag_changes_layout_not_content(capsys):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -158,16 +159,60 @@ def test_global_fixed_certificates():
 
 
 def test_local_checks_certify_no_prime(monkeypatch):
-    # relevant_places certifies each prime once; the local checks reuse it
+    # the place walk certifies each prime once; the local checks reuse it
     form = DiagonalForm.of(3 * 5, 7, Fraction(-11, 13), 2)
     places = relevant_places(form)
     calls = []
     is_prime = rationals.is_prime
-    monkeypatch.setattr(solvability, "relevant_places", lambda f: places)
+    monkeypatch.setattr(solvability, "_places", lambda f: iter(places))
     monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or is_prime(n))
     certificate = solvable_over_Q(form, search_height=3)
     assert calls == []
     assert certificate.checked_places == tuple(places)
+
+
+@given(forms)
+@settings(max_examples=200, deadline=None)
+def test_checked_places_are_a_prefix_of_the_relevant_places(form):
+    # a certificate walks relevant_places in order and stops at its failure
+    places = relevant_places(form)
+    c = solvable_over_Q(form, search_height=1)
+    checked = list(c.checked_places)
+    assert checked == places[: len(checked)]
+    if c.verdict:
+        assert checked == places
+    else:
+        assert checked[-1] == c.failing_place
+
+
+# two 16-digit primes: factoring this outlasts the rho budget
+SEMIPRIME = 1000000000000037 * 1000000000000091
+
+
+@pytest.mark.parametrize(
+    "entries, checked",
+    [((-SEMIPRIME, -1), ["inf"]), ((SEMIPRIME, 3), ["inf", "2"])],
+    ids=["real", "two"],
+)
+def test_real_place_and_two_are_decided_before_factoring(monkeypatch, entries, checked):
+    # a form that fails at the real place or at 2 answers without factoring an
+    # entry, even one that factor would refuse
+    calls = []
+    factor = rationals.factor
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(rationals, "factor", counted)
+    monkeypatch.setattr(solvability, "factor", counted)
+    start = time.perf_counter()
+    c = solvable_over_Q(DiagonalForm.of(*entries))
+    assert time.perf_counter() - start < 0.1
+    assert calls == []
+    assert not c.verdict
+    assert [str(v) for v in c.checked_places] == checked
+    assert str(c.failing_place) == checked[-1]
 
 
 def test_each_prime_is_certified_once(monkeypatch):
