@@ -72,16 +72,21 @@ def isotropic(
         raise ValueError("empty coefficient list")
     if any(c == 0 for c in cs):
         raise ValueError("zero coefficient in a nondegenerate diagonal form")
-    _require_prime(p)
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"{p!r} is not a prime")
     if k is None:
         k = default_precision(p)
     if k < min_precision(p):
         raise InconclusivePrecisionError(
             f"precision p^{k} is below the faithful minimum p^{min_precision(p)} at p={p}"
         )
-    m = p**k
+    # p^k >= 2^k for |p| > 1, so past the cap once k reaches its bit length:
+    # a huge k is refused without raising p to it
+    m = p ** min(k, MAX_MODULUS.bit_length())
     if m > MAX_MODULUS:
         raise ValueError(f"residue modulus {p}^{k} exceeds the search cap")
+    # after the cap, which is cheap: proving a large p composite is not
+    _require_prime(p)
 
     # Modulo squares, c = p^beta * w with beta in {0,1} and w determined by its
     # residue mod p^k (faithful by the precision floor above). The Hensel

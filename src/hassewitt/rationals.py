@@ -8,9 +8,13 @@ Primality is the strong-probable-prime test to the first 13 prime bases,
 which is a proof below PSI_13 = 3317044064679887385961981 (Sorenson and
 Webster, Math. Comp. 2017); composites that are not small-prime multiples are
 split by Pollard's rho in Brent's form (Brent, BIT 1980) within a fixed
-iteration budget. Past either limit the answer is a FactorizationLimitError,
-never a guess. Each prime is certified once, where it enters (factor, Place);
-past that places and the symbol path skip the check, and nothing is cached.
+iteration budget per integer. x -> x^2 + c mod a product reduces to the same
+walk mod each factor, so the small composite cofactors of several integers
+(the entries of a form) are split by one walk modulo their product, each at
+the step its own walk would split it. Past either limit the answer is a
+FactorizationLimitError, never a guess. Each prime is certified once, where it
+enters (factor, Place); past that places and the symbol path skip the check,
+and nothing is cached.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 # the first 13 primes: the trial divisors and the Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -39,8 +44,14 @@ _PSI = (
     3317044064679887385961981,
 )
 _PSI_13 = _PSI[-1]
-# map iterations allowed to the whole rho search of one factor() call
+# map iterations allowed to the rho walks of one integer's cofactors, as when
+# it is factored alone: a shared walk charges each step to the integer of
+# every walker it carries
 _RHO_BUDGET = 2**20
+# composite cofactors below this share one walk: each has a prime factor below
+# 2**32, which rho expects to find within about 2**18 iterations, so only a
+# cofactor that could spend the whole budget walks alone
+_JOIN_BELOW = 2**64
 # steps whose |x - y| are multiplied together before one gcd
 _RHO_BATCH = 128
 
@@ -112,66 +123,152 @@ def factor(n: int) -> dict[int, int]:
     The primes up to 41 are divided out; every cofactor left is certified
     prime by is_prime, taken through isqrt when it is a perfect square, or
     split by Brent's rho. Raises FactorizationLimitError when a probable prime
-    is at or above PSI_13, or when the rho search spends its budget of 2**20
-    iterations without splitting a composite.
+    is at or above PSI_13, or when the rho walks on the cofactors of n spend
+    their budget of 2**20 iterations without splitting them all. The
+    one-integer case of _factor_all.
     """
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break  # what is left of n is 1 or a prime
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    budget = [_RHO_BUDGET]
-    pending = [(n, 1)] if n > 1 else []
-    while pending:
-        m, e = pending.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + e
-            continue
-        r = math.isqrt(m)
-        if r * r == m:
-            pending.append((r, 2 * e))
-            continue
-        d = _rho_divisor(m, budget)
-        pending += [(d, e), (m // d, e)]
-    return dict(sorted(out.items()))
+    return _factor_all((n,))[0]
 
 
-def _rho_divisor(n: int, budget: list[int]) -> int:
-    """A proper divisor of the odd composite n, by Brent's cycle search on
-    x -> x^2 + c for c = 1, 2, ..., spending map iterations from budget[0]."""
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            _spend(budget, r, n)
-            x = y
-            for _ in range(r):
+# a cofactor still to be factored: (cofactor, exponent, index of the integer it
+# divides, rho constant c)
+_Piece = tuple[int, int, int, int]
+
+
+def _factor_all(ns: Sequence[int]) -> list[dict[int, int]]:
+    """factor of each of ns, with one rho walk for their small composites.
+
+    The composite cofactors below 2**64 share one walk per rho constant.
+    Each larger one walks alone after them, and what it leaves is settled
+    before the next walks, so the larger ones are walked in the order of ns.
+    Each integer has its own rho budget, so it is refused exactly when
+    factor would refuse it, and a refused integer refuses the whole list.
+    """
+    outs: list[dict[int, int]] = []
+    pending: list[_Piece] = []
+    for n in ns:
+        if n == 0:
+            raise ValueError("cannot factor zero")
+        n = abs(n)
+        out: dict[int, int] = {}
+        for p in _SMALL_PRIMES:
+            if p * p > n:
+                break  # what is left of n is 1 or a prime
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        if n > 1:
+            if is_prime(n):
+                out[n] = 1
+            else:
+                pending.append((n, 1, len(outs), 1))
+        outs.append(out)
+    if pending:
+        budgets = [_RHO_BUDGET] * len(outs)
+        small: dict[int, list[_Piece]] = {}
+        large: list[_Piece] = []
+        _settle(pending, outs, small, large)
+        large.reverse()  # a stack: the first integer's cofactor walks first
+        while small or large:
+            walkers = small.popitem()[1] if small else [large.pop()]
+            _settle(_walk(walkers, budgets), outs, small, large)
+    return [dict(sorted(out.items())) for out in outs]
+
+
+def _settle(
+    pieces: list[_Piece],
+    outs: list[dict[int, int]],
+    small: dict[int, list[_Piece]],
+    large: list[_Piece],
+) -> None:
+    """Count each prime piece into outs, taking squares through isqrt, and
+    queue each composite: below _JOIN_BELOW into small under its rho
+    constant, else onto the stack large."""
+    for m, e, i, c in pieces:
+        while not is_prime(m):
+            r = math.isqrt(m)
+            if r * r != m:
+                if m < _JOIN_BELOW:
+                    small.setdefault(c, []).append((m, e, i, c))
+                else:
+                    large.append((m, e, i, c))
+                break
+            m, e = r, 2 * e
+        else:
+            outs[i][m] = outs[i].get(m, 0) + e
+
+
+def _walk(walkers: list[_Piece], budgets: list[int]) -> list[_Piece]:
+    """Brent's cycle search on x -> x^2 + c modulo the product n of the odd
+    composite cofactors in walkers, which share c; returns the pieces they
+    leave as.
+
+    Mod each cofactor m this is m's own walk, so m leaves at the batch whose
+    gcd its own walk would find: split in two, or, when its primes close in
+    the same step, on to c + 1. The others walk on modulo n // m. Each map
+    iteration is charged to budgets[i] once per walker of integer i, as if
+    each walker walked alone.
+    """
+    c = walkers[0][3]
+    n = math.prod(w[0] for w in walkers)
+    budget, name = _allowance(walkers, budgets)
+    allowed = budget[0]
+    pieces: list[_Piece] = []
+    y, r, q = 2, 1, 1
+    while walkers:
+        _spend(budget, r, name)
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and walkers:
+            ys = y
+            steps = min(_RHO_BATCH, r - k)
+            _spend(budget, steps, name)
+            for _ in range(steps):
                 y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                steps = min(_RHO_BATCH, r - k)
-                _spend(budget, steps, n)
-                for _ in range(steps):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += steps
-            r *= 2
-        if g == n:
-            # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
+                q = q * (x - y) % n
+            k += steps
+            g = math.gcd(q, n)
+            if g == 1:
+                continue
+            stay = []
+            for w in walkers:
+                m, e, i, _ = w
+                budgets[i] -= allowed - budget[0]
+                d = math.gcd(g, m)
+                if d == 1:
+                    stay.append(w)
+                    continue
+                if d == m:
+                    # the batch overshot: redo it one step at a time
+                    d, z = 1, ys % m
+                    while d == 1:
+                        z = (z * z + c) % m
+                        d = math.gcd(x - z, m)
+                n //= m
+                if d == m:
+                    pieces.append((m, e, i, c + 1))
+                else:
+                    pieces += [(d, e, i, 1), (m // d, e, i, 1)]
+            walkers = stay
+            if walkers:
+                x, y, q = x % n, y % n, q % n
+                budget, name = _allowance(walkers, budgets)
+                allowed = budget[0]
+        r *= 2
+    return pieces
+
+
+def _allowance(walkers: list[_Piece], budgets: list[int]) -> tuple[list[int], int]:
+    """The map iterations a walk may take before some integer's budget runs
+    out, as the one-item list _spend takes, and the walker's cofactor to name
+    when it does."""
+    share: dict[int, int] = {}
+    for w in walkers:
+        share[w[2]] = share.get(w[2], 0) + 1
+    m, _, i, _ = min(walkers, key=lambda w: budgets[w[2]] // share[w[2]])
+    return [budgets[i] // share[i]], m
 
 
 def _spend(budget: list[int], steps: int, n: int) -> None:
@@ -187,8 +284,8 @@ def _odd_primes(q: Fraction) -> list[int]:
     square class. Numerator and denominator are coprime, so none repeats."""
     return [
         p
-        for part in (q.numerator, q.denominator)
-        for p, e in factor(part).items()
+        for primes in _factor_all((q.numerator, q.denominator))
+        for p, e in primes.items()
         if e % 2
     ]
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cohomology import _padic_class_rep, hilbert_symbol
 from .forms import DiagonalForm, hasse_invariant
-from .rationals import REAL_PLACE, _TWO_PLACE, Place, factor
+from .rationals import REAL_PLACE, _TWO_PLACE, Place, _factor_all
 
 DEFAULT_SEARCH_HEIGHT = 100
 
@@ -111,10 +111,8 @@ def _places(form: DiagonalForm) -> Iterator[Place]:
     # and 2 have been yielded
     yield REAL_PLACE
     yield _TWO_PLACE
-    odd: set[int] = set()
-    for a in form.entries:
-        for part in (a.numerator, a.denominator):
-            odd.update(p for p in factor(part) if p != 2)
+    parts = [n for a in form.entries for n in (a.numerator, a.denominator)]
+    odd = {p for primes in _factor_all(parts) for p in primes if p != 2}
     yield from map(Place._certified, sorted(odd))
 
 

@@ -148,10 +148,11 @@ def test_rational_vector_factors_each_entry_once(monkeypatch):
     # h1 factors each entry once; adds and cups over Q never factor
     form = DiagonalForm.of(-30, Fraction(5, 27), 7 * 10007**2, -1, 2 * 10009 * 10037, 3)
     calls = []
-    factor = rationals.factor
-    monkeypatch.setattr(rationals, "factor", lambda n: calls.append(n) or factor(n))
+    factor_all = rationals._factor_all
+    monkeypatch.setattr(rationals, "_factor_all", lambda ns: calls.append(ns) or factor_all(ns))
     ones = [h1(a, RATIONALS) for a in form.entries]
     from_h1 = len(calls)
+    assert from_h1 == len(form.entries)
     hasse_witt_vector(form, RATIONALS)
     assert len(calls) == 2 * from_h1
     for x in ones:

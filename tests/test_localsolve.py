@@ -1,4 +1,5 @@
 import ast
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -177,6 +178,24 @@ def test_input_validation():
         isotropic([Fraction(1)], 6)
     with pytest.raises(ValueError):
         isotropic([Fraction(1), Fraction(1)], 3, 11)  # 3^11 past the search cap
+
+
+def test_cap_is_checked_before_primality():
+    # a 3001-digit composite with no prime factor up to 41: Miller-Rabin takes
+    # seconds to prove it composite, the cap refuses it at once, and a huge
+    # precision is refused without computing p^k
+    p = 43**1837
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the search cap"):
+        represents_one([1], p)
+    with pytest.raises(ValueError, match="exceeds the search cap"):
+        represents_one([1], p, 10**12)
+    with pytest.raises(ValueError, match="exceeds the search cap"):
+        represents_one([1], 3, 10**12)
+    assert time.perf_counter() - start < 0.1
+    for not_prime in (-5, 0, 1):
+        with pytest.raises(ValueError, match="is not a prime"):
+            represents_one([1], not_prime, 10**12)
 
 
 def test_verdicts_match_naive_enumeration():

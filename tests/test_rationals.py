@@ -7,11 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hassewitt import rationals
 from hassewitt.cohomology import RATIONALS, cohclass_to_json, h1
 from hassewitt.rationals import (
+    _RHO_BATCH,
     FactorizationLimitError,
     Place,
     REAL_PLACE,
+    _factor_all,
     _legendre,
     _split,
     as_rational,
@@ -184,6 +187,12 @@ def test_factor_certification_boundary():
     with pytest.raises(FactorizationLimitError):
         factor(1000000000000037 * 1000000000000091)
     assert time.perf_counter() - start < 5
+    # the budget is the integer's, not each piece's: the first walk splits
+    # this into p1*p2 and p3*p4, and the three walks together spend past
+    # 2**20, though the first with either of the others does not
+    p1, p2, p3, p4 = 48564574423, 59603082587, 49080417437, 10**20 + 39
+    with pytest.raises(FactorizationLimitError, match=f"^{p1 * p2} not split"):
+        factor(p1 * p2 * p3 * p4)
 
 
 def test_factor_fixed_values():
@@ -238,21 +247,102 @@ large_factor = st.integers(min_value=2, max_value=10**8 - 1).map(
 
 
 @given(
-    st.lists(small_factor, max_size=4),
-    st.lists(large_factor, max_size=1),
-    st.sampled_from((1, -1)),
+    st.lists(
+        st.tuples(
+            st.lists(small_factor, max_size=4),
+            st.lists(large_factor, max_size=1),
+            st.sampled_from((1, -1)),
+        ),
+        min_size=1,
+        max_size=8,
+    )
 )
-@example([], [], 1)
-@example([3, 3, 3, 3, 3], [], 1)
-@example([], [1000003, 1000003], 1)
-@example([2, 3], [17389, 99991], -1)
+@example([([], [], 1)])
+@example([([3, 3, 3, 3, 3], [], 1)])
+@example([([], [1000003, 1000003], 1)])
+@example([([2, 3], [17389, 99991], -1)])
+@example([([43, 47], [], 1), ([10007, 10009], [], -1), ([53, 53, 59], [99991], 1)])
 @settings(max_examples=200)
-def test_factor_matches_trial_division(small, large, sign):
-    n = sign * math.prod(small + large)
-    expected = trial_division_factor(n)
-    got = factor(n)
-    assert got == expected
-    assert list(got) == list(expected)
+def test_factor_matches_trial_division(parts):
+    # one integer at a time, and all of them at once, where the small
+    # composite cofactors of the list share one walk
+    ns = [sign * math.prod(small + large) for small, large, sign in parts]
+    expected = [trial_division_factor(n) for n in ns]
+    for got in ([factor(n) for n in ns], _factor_all(ns)):
+        assert got == expected
+        assert [list(g) for g in got] == [list(e) for e in expected]
+
+
+@given(st.lists(st.lists(large_factor, min_size=1, max_size=3), min_size=1, max_size=6))
+@settings(max_examples=50)
+def test_shared_walk_refuses_as_each_integer_alone(parts):
+    # under a budget small enough to refuse some of these integers, the list
+    # is refused exactly when one of them is refused by itself: a shared walk
+    # charges each integer the steps its own walk takes
+    ns = [math.prod(primes) for primes in parts]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rationals, "_RHO_BUDGET", 10000)
+        alone = []
+        for n in ns:
+            try:
+                alone.append(factor(n))
+            except FactorizationLimitError:
+                alone.append(None)
+        if None in alone:
+            with pytest.raises(FactorizationLimitError):
+                _factor_all(ns)
+        else:
+            assert _factor_all(ns) == alone
+
+
+def closing(p: int, c: int) -> tuple[int, int]:
+    """(batch, step) at which Brent's walk x -> x^2 + c mod p, from 2, first
+    has x == y: where a walk on a multiple of p finds p. Steps count the
+    products taken into the gcd, batches the gcds."""
+    y, r, batch, step = 2, 1, 0, 0
+    while True:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % p
+        for k in range(0, r, _RHO_BATCH):
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % p
+                step += 1
+                if x == y:
+                    return batch, step
+            batch += 1
+        r *= 2
+
+
+def test_each_branch_of_the_shared_walk(monkeypatch):
+    # fixed examples, found by search with closing(), one per branch
+    # overshoot: both primes close in one batch, at different steps
+    assert closing(877, 1)[0] == closing(1459, 1)[0]
+    assert closing(877, 1)[1] != closing(1459, 1)[1]
+    # next c: both primes close at the same step for c = 1, apart for c = 2
+    assert closing(109, 1) == closing(199, 1)
+    assert closing(109, 2)[0] != closing(199, 2)[0]
+    # three primes closing in three batches: the first split leaves a piece
+    # with two primes to a fresh walk
+    assert closing(47, 1)[0] < closing(139, 1)[0] < closing(359, 1)[0]
+    examples = [877 * 1459, 109 * 199, 47 * 139 * 359, (43 * 47) ** 2]
+    walked = []
+    walk = rationals._walk
+
+    def recorded(walkers, budgets):
+        walked.append({(w[0], w[3]) for w in walkers})
+        return walk(walkers, budgets)
+
+    monkeypatch.setattr(rationals, "_walk", recorded)
+    expected = [trial_division_factor(n) for n in examples]
+    assert _factor_all(examples) == expected
+    # the four cofactors, a square through isqrt, share the first walk
+    assert walked[0] == {(877 * 1459, 1), (109 * 199, 1), (47 * 139 * 359, 1), (43 * 47, 1)}
+    later = set().union(*walked[1:])
+    assert (109 * 199, 2) in later and (139 * 359, 1) in later
+    assert (877 * 1459, 2) not in later  # the replay split it
+    # alone, each takes the same branches and gives the same primes
+    assert [factor(n) for n in examples] == expected
 
 
 @given(nonzero_rationals)

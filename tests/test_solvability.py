@@ -198,14 +198,14 @@ def test_real_place_and_two_are_decided_before_factoring(monkeypatch, entries, c
     # a form that fails at the real place or at 2 answers without factoring an
     # entry, even one that factor would refuse
     calls = []
-    factor = rationals.factor
+    factor_all = rationals._factor_all
 
-    def counted(n):
-        calls.append(n)
-        return factor(n)
+    def counted(ns):
+        calls.append(ns)
+        return factor_all(ns)
 
-    monkeypatch.setattr(rationals, "factor", counted)
-    monkeypatch.setattr(solvability, "factor", counted)
+    monkeypatch.setattr(rationals, "_factor_all", counted)
+    monkeypatch.setattr(solvability, "_factor_all", counted)
     start = time.perf_counter()
     c = solvable_over_Q(DiagonalForm.of(*entries))
     assert time.perf_counter() - start < 0.1
@@ -213,6 +213,34 @@ def test_real_place_and_two_are_decided_before_factoring(monkeypatch, entries, c
     assert not c.verdict
     assert [str(v) for v in c.checked_places] == checked
     assert str(c.failing_place) == checked[-1]
+
+
+def test_four_hard_entries_refuse_within_one_budget(monkeypatch):
+    # each entry is two 16-digit primes, past 2**64, so each walks alone in
+    # entry order: the first spends the budget and is the one named, as when
+    # the entries were factored one at a time, and the refusal costs one
+    # budget of steps on a modulus of one entry
+    primes = [10**15 + k for k in (37, 91, 159, 187, 223, 241, 249, 259)]
+    entries = [q1 * q2 for q1, q2 in zip(primes[::2], primes[1::2])]
+    spent, named, walks = [], set(), []
+    spend, walk = rationals._spend, rationals._walk
+
+    def counted(budget, steps, n):
+        spend(budget, steps, n)
+        spent.append(steps)
+        named.add(n)
+
+    def recorded(walkers, budgets):
+        walks.append([w[0] for w in walkers])
+        return walk(walkers, budgets)
+
+    monkeypatch.setattr(rationals, "_spend", counted)
+    monkeypatch.setattr(rationals, "_walk", recorded)
+    with pytest.raises(rationals.FactorizationLimitError, match=f"^{entries[0]} not split"):
+        relevant_places(DiagonalForm.of(*entries))
+    assert sum(spent) <= rationals._RHO_BUDGET
+    assert named == {entries[0]}
+    assert walks == [[entries[0]]]
 
 
 def test_each_prime_is_certified_once(monkeypatch):
