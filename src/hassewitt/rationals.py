@@ -7,14 +7,14 @@ approximation can leak in.
 Primality is the strong-probable-prime test to the first 13 prime bases,
 which is a proof below PSI_13 = 3317044064679887385961981 (Sorenson and
 Webster, Math. Comp. 2017); composites that are not small-prime multiples are
-split by Pollard's rho in Brent's form (Brent, BIT 1980) within a fixed
-iteration budget per integer. x -> x^2 + c mod a product reduces to the same
-walk mod each factor, so the small composite cofactors of several integers
-(the entries of a form) are split by one walk modulo their product, each at
-the step its own walk would split it. Past either limit the answer is a
-FactorizationLimitError, never a guess. Each prime is certified once, where it
-enters (factor, Place); past that places and the symbol path skip the check,
-and nothing is cached.
+split by Pollard's rho in Brent's form (Brent, BIT 1980) within a fixed budget
+per integer, a step past 128 bits charged by its size. x -> x^2 + c mod a
+product reduces to the same walk mod each factor, so the small composite
+cofactors of several integers (the entries of a form) are split by one walk
+modulo their product, each at the step and the cost of its own walk. Past
+either limit the answer is a FactorizationLimitError, never a guess. Each
+cofactor is proved prime or composite once, and each prime certified once,
+where it enters (factor, Place); nothing is cached.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ _PSI = (
     3317044064679887385961981,
 )
 _PSI_13 = _PSI[-1]
-# map iterations allowed to the rho walks of one integer's cofactors, as when
-# it is factored alone: a shared walk charges each step to the integer of
-# every walker it carries
+# rho iterations allowed to each integer's cofactors, weighed by size in _charge
 _RHO_BUDGET = 2**20
 # composite cofactors below this share one walk: each has a prime factor below
 # 2**32, which rho expects to find within about 2**18 iterations, so only a
@@ -120,12 +118,12 @@ def _require_prime(p: int) -> None:
 def factor(n: int) -> dict[int, int]:
     """Factor |n| into {prime: exponent}, primes ascending.
 
-    The primes up to 41 are divided out; every cofactor left is certified
-    prime by is_prime, taken through isqrt when it is a perfect square, or
+    The primes up to 41 are divided out; each cofactor left is proved prime or
+    composite once, and a composite one is taken through isqrt if a square or
     split by Brent's rho. Raises FactorizationLimitError when a probable prime
-    is at or above PSI_13, or when the rho walks on the cofactors of n spend
-    their budget of 2**20 iterations without splitting them all. The
-    one-integer case of _factor_all.
+    is at or above PSI_13, or when the rho walks on n's cofactors spend its
+    budget of 2**20 iterations, charged by size, without splitting them all.
+    The one-integer case of _factor_all.
     """
     return _factor_all((n,))[0]
 
@@ -138,11 +136,12 @@ _Piece = tuple[int, int, int, int]
 def _factor_all(ns: Sequence[int]) -> list[dict[int, int]]:
     """factor of each of ns, with one rho walk for their small composites.
 
-    The composite cofactors below 2**64 share one walk per rho constant.
-    Each larger one walks alone after them, and what it leaves is settled
-    before the next walks, so the larger ones are walked in the order of ns.
-    Each integer has its own rho budget, so it is refused exactly when
-    factor would refuse it, and a refused integer refuses the whole list.
+    A cofactor left by trial division is a prime below 41**2 or goes through
+    _settle. The composite ones below 2**64 share one walk per rho constant;
+    each larger one walks alone after them, in the order of ns, and what it
+    leaves is settled before the next walks. Each integer pays for its own
+    cofactors' steps, so it is refused exactly when factor would refuse it,
+    and a refused integer refuses the whole list.
     """
     outs: list[dict[int, int]] = []
     pending: list[_Piece] = []
@@ -153,21 +152,20 @@ def _factor_all(ns: Sequence[int]) -> list[dict[int, int]]:
         out: dict[int, int] = {}
         for p in _SMALL_PRIMES:
             if p * p > n:
-                break  # what is left of n is 1 or a prime
+                break
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
-        if n > 1:
-            if is_prime(n):
-                out[n] = 1
-            else:
-                pending.append((n, 1, len(outs), 1))
+        if n >= _SMALL_PRIMES[-1] ** 2:
+            pending.append((n, 1, len(outs), 1))
+        elif n > 1:
+            out[n] = 1  # no prime factor up to 41, so a prime
         outs.append(out)
     if pending:
-        budgets = [_RHO_BUDGET] * len(outs)
         small: dict[int, list[_Piece]] = {}
         large: list[_Piece] = []
         _settle(pending, outs, small, large)
+        budgets = [_RHO_BUDGET] * len(outs)
         large.reverse()  # a stack: the first integer's cofactor walks first
         while small or large:
             walkers = small.popitem()[1] if small else [large.pop()]
@@ -185,7 +183,7 @@ def _settle(
     queue each composite: below _JOIN_BELOW into small under its rho
     constant, else onto the stack large."""
     for m, e, i, c in pieces:
-        while not is_prime(m):
+        while c > 1 or not is_prime(m):  # c > 1: a composite non-square already
             r = math.isqrt(m)
             if r * r != m:
                 if m < _JOIN_BELOW:
@@ -205,18 +203,16 @@ def _walk(walkers: list[_Piece], budgets: list[int]) -> list[_Piece]:
 
     Mod each cofactor m this is m's own walk, so m leaves at the batch whose
     gcd its own walk would find: split in two, or, when its primes close in
-    the same step, on to c + 1. The others walk on modulo n // m. Each map
-    iteration is charged to budgets[i] once per walker of integer i, as if
-    each walker walked alone.
+    the same step, on to c + 1. The others walk on modulo n // m. Each run of
+    map steps is charged to the integer of every walker, so each integer pays
+    what its cofactors' own walks would.
     """
     c = walkers[0][3]
     n = math.prod(w[0] for w in walkers)
-    budget, name = _allowance(walkers, budgets)
-    allowed = budget[0]
     pieces: list[_Piece] = []
     y, r, q = 2, 1, 1
     while walkers:
-        _spend(budget, r, name)
+        _charge(walkers, budgets, r)
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -224,7 +220,7 @@ def _walk(walkers: list[_Piece], budgets: list[int]) -> list[_Piece]:
         while k < r and walkers:
             ys = y
             steps = min(_RHO_BATCH, r - k)
-            _spend(budget, steps, name)
+            _charge(walkers, budgets, steps)
             for _ in range(steps):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
@@ -233,12 +229,10 @@ def _walk(walkers: list[_Piece], budgets: list[int]) -> list[_Piece]:
             if g == 1:
                 continue
             stay = []
-            for w in walkers:
-                m, e, i, _ = w
-                budgets[i] -= allowed - budget[0]
+            for m, e, i, _ in walkers:
                 d = math.gcd(g, m)
                 if d == 1:
-                    stay.append(w)
+                    stay.append((m, e, i, c))
                     continue
                 if d == m:
                     # the batch overshot: redo it one step at a time
@@ -254,29 +248,21 @@ def _walk(walkers: list[_Piece], budgets: list[int]) -> list[_Piece]:
             walkers = stay
             if walkers:
                 x, y, q = x % n, y % n, q % n
-                budget, name = _allowance(walkers, budgets)
-                allowed = budget[0]
         r *= 2
     return pieces
 
 
-def _allowance(walkers: list[_Piece], budgets: list[int]) -> tuple[list[int], int]:
-    """The map iterations a walk may take before some integer's budget runs
-    out, as the one-item list _spend takes, and the walker's cofactor to name
-    when it does."""
-    share: dict[int, int] = {}
-    for w in walkers:
-        share[w[2]] = share.get(w[2], 0) + 1
-    m, _, i, _ = min(walkers, key=lambda w: budgets[w[2]] // share[w[2]])
-    return [budgets[i] // share[i]], m
-
-
-def _spend(budget: list[int], steps: int, n: int) -> None:
-    budget[0] -= steps
-    if budget[0] < 0:
-        raise FactorizationLimitError(
-            f"{n} not split within {_RHO_BUDGET} rho iterations"
-        )
+def _charge(walkers: list[_Piece], budgets: list[int], steps: int) -> None:
+    """Charge steps map iterations to each walker's integer, a step on b bits
+    as (1 + (b - 1) // 128) ** 2, the square of its 128-bit words, as the
+    time of a step grows; then name the first walker whose integer is over."""
+    for m, _, i, _ in walkers:
+        budgets[i] -= steps * (1 + (m.bit_length() - 1) // 128) ** 2
+    for m, _, i, _ in walkers:
+        if budgets[i] < 0:
+            raise FactorizationLimitError(
+                f"{m} not split within {_RHO_BUDGET} rho iterations of 128 bits"
+            )
 
 
 def _odd_primes(q: Fraction) -> list[int]:

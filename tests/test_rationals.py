@@ -188,11 +188,18 @@ def test_factor_certification_boundary():
         factor(1000000000000037 * 1000000000000091)
     assert time.perf_counter() - start < 5
     # the budget is the integer's, not each piece's: the first walk splits
-    # this into p1*p2 and p3*p4, and the three walks together spend past
-    # 2**20, though the first with either of the others does not
-    p1, p2, p3, p4 = 48564574423, 59603082587, 49080417437, 10**20 + 39
-    with pytest.raises(FactorizationLimitError, match=f"^{p1 * p2} not split"):
-        factor(p1 * p2 * p3 * p4)
+    # p1 off this 111-bit integer, and p2*p3 splits within 2**20 steps alone
+    # but not within what the first walk left
+    p1, p2, p3 = 26071806877, 171584905339, 541455135101
+    assert factor(p2 * p3) == {p2: 1, p3: 1}
+    with pytest.raises(FactorizationLimitError, match=f"^{p2 * p3} not split"):
+        factor(p1 * p2 * p3)
+    # a step on a cofactor past 2**128 is charged by its size, so a hard
+    # 1350-digit one is refused promptly
+    start = time.perf_counter()
+    with pytest.raises(FactorizationLimitError):
+        factor((2**2203 - 1) * (2**2281 - 1))
+    assert time.perf_counter() - start < 5
 
 
 def test_factor_fixed_values():
@@ -293,6 +300,40 @@ def test_shared_walk_refuses_as_each_integer_alone(parts):
                 _factor_all(ns)
         else:
             assert _factor_all(ns) == alone
+
+
+def charged(ns: list[int]) -> list[int]:
+    """What _factor_all(ns) charges to the budget of each of ns, summed over
+    the calls to _charge."""
+    spent = [0] * len(ns)
+    charge = rationals._charge
+
+    def counted(walkers, budgets, steps):
+        before = list(budgets)
+        charge(walkers, budgets, steps)
+        for i, (b, a) in enumerate(zip(before, budgets)):
+            spent[i] += b - a
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rationals, "_charge", counted)
+        _factor_all(ns)
+    return spent
+
+
+@given(st.lists(st.lists(large_factor, min_size=1, max_size=5), min_size=1, max_size=6))
+# the first walk on the last integer splits it into two composites that walk
+# on together
+@example([[10007, 10009, 10037], [10151, 10271, 10613, 11197]])
+@settings(max_examples=100)
+def test_shared_walk_charges_each_integer_its_own_walks(parts):
+    # an integer pays the same whether its cofactors share walks with other
+    # integers' cofactors, walk with each other, or each walk alone
+    ns = [math.prod(primes) for primes in parts]
+    shared = charged(ns)
+    assert shared == [charged([n])[0] for n in ns]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rationals, "_JOIN_BELOW", 0)
+        assert charged(ns) == shared
 
 
 def closing(p: int, c: int) -> tuple[int, int]:

@@ -222,24 +222,25 @@ def test_four_hard_entries_refuse_within_one_budget(monkeypatch):
     # budget of steps on a modulus of one entry
     primes = [10**15 + k for k in (37, 91, 159, 187, 223, 241, 249, 259)]
     entries = [q1 * q2 for q1, q2 in zip(primes[::2], primes[1::2])]
-    spent, named, walks = [], set(), []
-    spend, walk = rationals._spend, rationals._walk
+    spent, charged, walks = {}, set(), []
+    charge, walk = rationals._charge, rationals._walk
 
-    def counted(budget, steps, n):
-        spend(budget, steps, n)
-        spent.append(steps)
-        named.add(n)
+    def counted(walkers, budgets, steps):
+        charge(walkers, budgets, steps)
+        for m, _, i, _ in walkers:
+            spent[i] = spent.get(i, 0) + steps
+            charged.add(m)
 
     def recorded(walkers, budgets):
         walks.append([w[0] for w in walkers])
         return walk(walkers, budgets)
 
-    monkeypatch.setattr(rationals, "_spend", counted)
+    monkeypatch.setattr(rationals, "_charge", counted)
     monkeypatch.setattr(rationals, "_walk", recorded)
     with pytest.raises(rationals.FactorizationLimitError, match=f"^{entries[0]} not split"):
         relevant_places(DiagonalForm.of(*entries))
-    assert sum(spent) <= rationals._RHO_BUDGET
-    assert named == {entries[0]}
+    assert all(steps <= rationals._RHO_BUDGET for steps in spent.values())
+    assert charged == {entries[0]}
     assert walks == [[entries[0]]]
 
 
