@@ -79,9 +79,11 @@ def as_rational(value: Fraction | int | str) -> Fraction:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: exact for every n < PSI_13.
 
-    A witness among the 13 bases proves n composite at any size. Once the
-    first t bases pass, n < psi_t proves it prime, so small n stop early; a
-    probable prime at or above PSI_13 raises FactorizationLimitError.
+    A witness proves n composite at any size. Once the first t bases pass,
+    n < psi_t proves it prime, so small n stop early. At or above PSI_13 no
+    pass can prove primality, so only base 2 is tried: a witness returns
+    False and a pass raises FactorizationLimitError, which also refuses a
+    strong base-2 pseudoprime that a later base would prove composite.
     """
     if n < 2:
         return False
@@ -94,7 +96,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a, psi in zip(_SMALL_PRIMES, _PSI):
+    bases = _SMALL_PRIMES if n < _PSI_13 else _SMALL_PRIMES[:1]
+    for a, psi in zip(bases, _PSI):
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
             for _ in range(s - 1):

@@ -349,6 +349,20 @@ def test_local_solvability_forces_zero_local_obstruction():
     assert not violations, violations[:10]
 
 
+def test_residue_oracle_matches_top_obstruction_at_rank_two():
+    # the same claim against the independent route: at rank <= 2 the top class
+    # is [a] or (a, b)_p, so a point over Q_p exists exactly when it vanishes
+    disagreements = [
+        (form.entries, p)
+        for form in criterion_family()
+        if form.rank <= 2
+        for p in (2, 3, 5)
+        if represents_one(form.entries, p)
+        != is_zero(top_obstruction(form, BaseField.padics(p)))
+    ]
+    assert not disagreements, disagreements[:10]
+
+
 def test_criterion_9_finite_descent_example(capsys):
     start = time.perf_counter()
     checks = {}

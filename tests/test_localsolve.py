@@ -13,6 +13,7 @@ import hassewitt
 from hassewitt.localsolve import (
     MAX_MODULUS,
     InconclusivePrecisionError,
+    _orbit_tables,
     default_precision,
     isotropic,
     min_precision,
@@ -298,6 +299,43 @@ def test_orbit_tables_match_residue_tables(precision, terms):
     p, k = precision
     coeffs = [c * p**e for c, e in terms]
     assert outcome(isotropic, coeffs, p, k) == outcome(residue_table_isotropic, coeffs, p, k)
+
+
+def test_refusals_leave_the_cache_empty():
+    # every refusal comes before the orbit tables are built
+    _orbit_tables.cache_clear()
+    refusals = [
+        ([], 3, None, ValueError),
+        ([1, 0], 3, None, ValueError),
+        ([1], 3.0, None, ValueError),
+        ([1], 6, None, ValueError),
+        ([1, -1], 2, 2, InconclusivePrecisionError),
+        ([1, 1], 3, 11, ValueError),
+    ]
+    for coeffs, p, k, error in refusals:
+        with pytest.raises(error):
+            isotropic(coeffs, p, k)
+    assert _orbit_tables.cache_info().currsize == 0
+
+
+@given(
+    st.sampled_from(_DRAWN),
+    st.lists(st.tuples(coeff, st.integers(0, 2)), min_size=1, max_size=4),
+    st.lists(st.sampled_from(_DRAWN), max_size=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_cold_and_warm_cache_agree(precision, terms, others):
+    # the same verdict or refusal from freshly built tables, from tables built
+    # after other (p, k) filled the cache, and from the cached entry itself
+    p, k = precision
+    coeffs = [c * p**e for c, e in terms]
+    _orbit_tables.cache_clear()
+    cold = outcome(isotropic, coeffs, p, k)
+    _orbit_tables.cache_clear()
+    for other in others:
+        outcome(isotropic, [1], *other)
+    assert outcome(isotropic, coeffs, p, k) == cold
+    assert outcome(isotropic, coeffs, p, k) == cold
 
 
 _PACKAGE = Path(hassewitt.__file__).parent

@@ -149,6 +149,15 @@ def thirteen_base_is_prime(n):
     return True
 
 
+def test_probable_prime_past_the_range_refuses_at_the_first_base():
+    # 2^9941 - 1 is a 2993-digit Mersenne prime: past PSI_13 no base can prove
+    # it prime, so one modular power at base 2 refuses it, not thirteen
+    start = time.perf_counter()
+    with pytest.raises(FactorizationLimitError, match="probable prime"):
+        is_prime(2**9941 - 1)
+    assert time.perf_counter() - start < 5
+
+
 def test_is_prime_at_each_pseudoprime_bound():
     # psi_t passes the first t bases, so the early exit must not fire at it
     for psi in PSI[:-1]:
