@@ -7,11 +7,13 @@ relevant partial derivative. The search runs in exact Python integers and
 keeps one table entry per orbit of Z/p^k under multiplication by unit
 squares; the orbits are found by brute force, not by a formula. What depends
 on (p, k) alone, each residue's orbit label, the orbit representatives and
-the squares mod p^k by valuation, is built once per (p, k) and kept in a
-small bounded cache; the search over each coefficient's steps runs on every
-call. Nothing in here consults a symbol formula, and no closed-form route
-consults this module: it is the independent oracle those routes are tested
-against. represents_one is its entry point.
+the members of each orbit, is built once per (p, k) and kept in a small
+bounded cache. The values c*y^2 over the residues y of one valuation are the
+members of one orbit, so each coefficient reads its steps off those lists;
+the search itself runs on every call. Nothing in here consults a symbol
+formula, and no closed-form route consults this module: it is the
+independent oracle those routes are tested against. represents_one is its
+entry point.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .rationals import _require_prime, _split, as_rational
 
 # Each coefficient costs about (number of orbits) * p^k steps on every call,
 # and building the orbit tables costs about p^k once per (p, k): at 43^3,
-# represents_one([3, 43, -5], 43) takes 0.26 s on a first call, 0.07 s of it
-# the tables, and 0.18 s on a repeat (Python 3.11.7, a shared Xeon CPU).
+# represents_one([3, 43, -5], 43) takes 0.16-0.20 s on a first call, 0.06-0.09
+# s of it the tables, and 0.12-0.17 s on a repeat (Python 3.11.7, a shared
+# Xeon CPU).
 # Beyond this cap a call is no longer a desk-scale computation.
 MAX_MODULUS = 100_000
 
@@ -83,6 +86,8 @@ def isotropic(
         raise ValueError(f"{p!r} is not a prime")
     if k is None:
         k = default_precision(p)
+    elif not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"precision {k!r} is not an integer")
     if k < min_precision(p):
         raise InconclusivePrecisionError(
             f"precision p^{k} is below the faithful minimum p^{min_precision(p)} at p={p}"
@@ -98,9 +103,8 @@ def isotropic(
     # Modulo squares, c = p^beta * w with beta in {0,1} and w determined by its
     # residue mod p^k (faithful by the precision floor above). The Hensel
     # exponent of coordinate j at residue y is t = v_p(2) + beta_j + v_p(y).
-    v2 = 1 if p == 2 else 0
     reduced = [(v % 2, w) for v, w in (_split(c, p, k) for c in cs)]
-    orbit, reps, squares = _orbit_tables(p, k)
+    orbit, reps, _ = _orbit_tables(p, k)
 
     big = k  # 2t < k already fails at t = ceil(k/2); cap valuations there
     unreach = big + 1
@@ -111,13 +115,7 @@ def isotropic(
     reach_t[orbit[0]] = big  # the empty vector
     reach_prim = [False] * len(reps)
     for beta, w in reduced:
-        c = p**beta * w % m
-        # the distinct steps (c*y^2, Hensel exponent, y is a unit) over y
-        steps = {
-            (c * q % m, min(v2 + beta + j, big), j == 0)
-            for j, group in enumerate(squares)
-            for q in group
-        }
+        groups = _steps(p, k, beta, w)
         new_t = [unreach] * len(reps)
         new_prim = [False] * len(reps)
         # u^2*a + c*y^2 = u^2*(a + c*(y/u)^2): the representative a speaks
@@ -125,10 +123,11 @@ def isotropic(
         for o, a in enumerate(reps):
             if reach_t[o] == unreach:
                 continue
-            for shift, t, unit in steps:
-                hit = orbit[(a + shift) % m]
-                new_t[hit] = min(new_t[hit], reach_t[o], t)
-                new_prim[hit] = new_prim[hit] or unit or reach_prim[o]
+            for shifts, t, unit in groups:
+                for shift in shifts:
+                    hit = orbit[(a + shift) % m]
+                    new_t[hit] = min(new_t[hit], reach_t[o], t)
+                    new_prim[hit] = new_prim[hit] or unit or reach_prim[o]
         reach_t, reach_prim = new_t, new_prim
 
     t0 = reach_t[orbit[0]]
@@ -141,10 +140,29 @@ def isotropic(
     return False
 
 
+def _steps(p: int, k: int, beta: int, w: int) -> list[tuple[memoryview, int, bool]]:
+    """The steps of isotropic for the coefficient c = p^beta * w mod p^k.
+
+    One group per valuation j of y, y = 0 counted at j = k: the values c*y^2
+    mod p^k, the Hensel exponent v_p(2) + beta + j capped at k, and whether y
+    is a unit. With y = p^j * u, the values c*p^(2j)*u^2 over the units u are
+    the orbit of c*p^(2j), so each group is read off the orbit tables.
+    """
+    orbit, _, members = _orbit_tables(p, k)
+    m = p**k
+    c = p**beta * w % m
+    v2 = 1 if p == 2 else 0
+    return [
+        (members[orbit[c * p ** (2 * j) % m]], min(v2 + beta + j, k), j == 0)
+        for j in range(k + 1)
+    ]
+
+
 # Six (p, k) pairs serve every prime up to 13 at its default precision. The
-# largest entry under the cap is p = 99991, k = 1, at 0.52 MB; the cache full
-# of the eight largest, the eight primes below 10^5 down to 99901 at k = 1,
-# holds 4.16 MB (tracemalloc).
+# largest entry under the cap is p = 99991, k = 1, at 0.52 MB (its orbit
+# labels and its members at 4 bytes each); the cache full of the eight
+# largest, the eight primes below 10^5 down to 99901 at k = 1, holds 4.16 MB,
+# and building the last of them peaks 3.8 MB above that (tracemalloc).
 @lru_cache(maxsize=8)
 def _orbit_tables(
     p: int, k: int
@@ -157,9 +175,9 @@ def _orbit_tables(
     u^2*v, with the same valuations and unit coordinates. orbit[r] labels
     residue r with its orbit (60 orbits at most under the cap, at 2^16, so a
     label fits in a byte), reps[o] is the least residue of orbit o, and
-    squares[j] holds the distinct y^2 mod p^k over the residues y of valuation
-    j, and squares[k] holds 0 alone, for y = 0 with its valuation capped at
-    k. Each table is read-only, since every caller shares it.
+    members[o] lists the residues of orbit o in ascending order, as 4-byte
+    integers (every residue under the cap is below 2^31). Each table is
+    read-only, since every caller shares it.
     """
     m = p**k
     unit_squares = {u * u % m for u in range(1, m) if u % p}
@@ -170,9 +188,11 @@ def _orbit_tables(
             for s in unit_squares:
                 orbit[s * r % m] = len(reps)
             reps.append(r)
-    squares = [{p ** (2 * j) * s % m for s in unit_squares} for j in range(k)] + [{0}]
+    members = [array("i") for _ in reps]
+    for r in range(m):
+        members[orbit[r]].append(r)
     return (
         bytes(orbit),
         tuple(reps),
-        tuple(memoryview(array("l", group)).toreadonly() for group in squares),
+        tuple(memoryview(group).toreadonly() for group in members),
     )

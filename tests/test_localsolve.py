@@ -14,6 +14,7 @@ from hassewitt.localsolve import (
     MAX_MODULUS,
     InconclusivePrecisionError,
     _orbit_tables,
+    _steps,
     default_precision,
     isotropic,
     min_precision,
@@ -336,6 +337,43 @@ def test_cold_and_warm_cache_agree(precision, terms, others):
         outcome(isotropic, [1], *other)
     assert outcome(isotropic, coeffs, p, k) == cold
     assert outcome(isotropic, coeffs, p, k) == cold
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, Fraction(3), "3", True, False])
+def test_precision_that_is_not_an_int_is_refused(k):
+    # refused as p is, before the precision floor and the tables: 2.5 used to
+    # reach pow inside _split, and True was taken as k = 1
+    _orbit_tables.cache_clear()
+    for search in (represents_one, isotropic):
+        with pytest.raises(ValueError, match="is not an integer"):
+            search([1], 3, k)
+    assert _orbit_tables.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p, k", [*_DRAWN, (11, 4), (13, 4)])
+def test_steps_are_read_off_the_orbit_members(p, k):
+    # the members partition Z/p^k by orbit, and over the residues y of
+    # valuation j (0 counted at k) the values c*y^2 are one orbit's members
+    orbit, reps, members = _orbit_tables(p, k)
+    m = p**k
+    assert sorted(r for group in members for r in group) == list(range(m))
+    for o, group in enumerate(members):
+        assert {orbit[r] for r in group} == {o}
+        assert reps[o] == min(group)
+    by_valuation = [[] for _ in range(k + 1)]
+    for y in range(m):
+        j = 0
+        while j < k and y % p ** (j + 1) == 0:
+            j += 1
+        by_valuation[j].append(y)
+    v2 = 1 if p == 2 else 0
+    for beta, w in product((0, 1), reps):
+        c = p**beta * w % m
+        groups = _steps(p, k, beta, w)
+        assert len(groups) == k + 1
+        for j, (shifts, t, unit) in enumerate(groups):
+            assert set(shifts) == {c * y * y % m for y in by_valuation[j]}
+            assert (t, unit) == (min(v2 + beta + j, k), j == 0)
 
 
 _PACKAGE = Path(hassewitt.__file__).parent
