@@ -6,14 +6,13 @@ exact p-adic zero once the precision exceeds twice the valuation of the
 relevant partial derivative. The search runs in exact Python integers and
 keeps one table entry per orbit of Z/p^k under multiplication by unit
 squares; the orbits are found by brute force, not by a formula. What depends
-on (p, k) alone, each residue's orbit label, the orbit representatives and
-the members of each orbit, is built once per (p, k) and kept in a small
-bounded cache. The values c*y^2 over the residues y of one valuation are the
-members of one orbit, so each coefficient reads its steps off those lists;
-the search itself runs on every call. Nothing in here consults a symbol
-formula, and no closed-form route consults this module: it is the
-independent oracle those routes are tested against. represents_one is its
-entry point.
+on (p, k) alone, each residue's orbit label and the members of each orbit,
+is built in one pass once per (p, k) and kept in a small bounded cache. The
+values c*y^2 over the residues y of one valuation are the members of one
+orbit, so each coefficient reads its steps off those lists; the search
+itself runs on every call. Nothing in here consults a symbol formula, and no
+closed-form route consults this module: it is the independent oracle those
+routes are tested against. represents_one is its entry point.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from .rationals import _require_prime, _split, as_rational
 
 # Each coefficient costs about (number of orbits) * p^k steps on every call,
 # and building the orbit tables costs about p^k once per (p, k): at 43^3,
-# represents_one([3, 43, -5], 43) takes 0.16-0.20 s on a first call, 0.06-0.09
-# s of it the tables, and 0.12-0.17 s on a repeat (Python 3.11.7, a shared
-# Xeon CPU).
+# represents_one([3, 43, -5], 43) takes 0.18-0.23 s on a first call, 0.05-0.07
+# s of it the tables, and 0.13-0.18 s on a repeat (Python 3.11.7, a shared
+# Xeon CPU, tracemalloc off).
 # Beyond this cap a call is no longer a desk-scale computation.
 MAX_MODULUS = 100_000
 
@@ -104,25 +103,26 @@ def isotropic(
     # residue mod p^k (faithful by the precision floor above). The Hensel
     # exponent of coordinate j at residue y is t = v_p(2) + beta_j + v_p(y).
     reduced = [(v % 2, w) for v, w in (_split(c, p, k) for c in cs)]
-    orbit, reps, _ = _orbit_tables(p, k)
+    orbit, members = _orbit_tables(p, k)
 
     big = k  # 2t < k already fails at t = ceil(k/2); cap valuations there
     unreach = big + 1
 
     # reach_t[o]: least Hensel exponent over vectors hitting orbit o (unreach
     # if none); reach_prim[o]: o is hit by a vector with a unit coordinate
-    reach_t = [unreach] * len(reps)
+    reach_t = [unreach] * len(members)
     reach_t[orbit[0]] = big  # the empty vector
-    reach_prim = [False] * len(reps)
+    reach_prim = [False] * len(members)
     for beta, w in reduced:
         groups = _steps(p, k, beta, w)
-        new_t = [unreach] * len(reps)
-        new_prim = [False] * len(reps)
-        # u^2*a + c*y^2 = u^2*(a + c*(y/u)^2): the representative a speaks
-        # for its whole orbit
-        for o, a in enumerate(reps):
+        new_t = [unreach] * len(members)
+        new_prim = [False] * len(members)
+        # u^2*a + c*y^2 = u^2*(a + c*(y/u)^2): the least member a speaks for
+        # its whole orbit
+        for o, group in enumerate(members):
             if reach_t[o] == unreach:
                 continue
+            a = group[0]
             for shifts, t, unit in groups:
                 for shift in shifts:
                     hit = orbit[(a + shift) % m]
@@ -130,8 +130,8 @@ def isotropic(
                     new_prim[hit] = new_prim[hit] or unit or reach_prim[o]
         reach_t, reach_prim = new_t, new_prim
 
-    t0 = reach_t[orbit[0]]
-    if t0 <= big and 2 * t0 < k:
+    # an unreached orbit holds k + 1, and 2 * (k + 1) < k never holds
+    if 2 * reach_t[orbit[0]] < k:
         return True
     if reach_prim[orbit[0]]:
         raise InconclusivePrecisionError(
@@ -148,7 +148,7 @@ def _steps(p: int, k: int, beta: int, w: int) -> list[tuple[memoryview, int, boo
     is a unit. With y = p^j * u, the values c*p^(2j)*u^2 over the units u are
     the orbit of c*p^(2j), so each group is read off the orbit tables.
     """
-    orbit, _, members = _orbit_tables(p, k)
+    orbit, members = _orbit_tables(p, k)
     m = p**k
     c = p**beta * w % m
     v2 = 1 if p == 2 else 0
@@ -164,9 +164,7 @@ def _steps(p: int, k: int, beta: int, w: int) -> list[tuple[memoryview, int, boo
 # largest, the eight primes below 10^5 down to 99901 at k = 1, holds 4.16 MB,
 # and building the last of them peaks 3.8 MB above that (tracemalloc).
 @lru_cache(maxsize=8)
-def _orbit_tables(
-    p: int, k: int
-) -> tuple[bytes, tuple[int, ...], tuple[memoryview, ...]]:
+def _orbit_tables(p: int, k: int) -> tuple[bytes, tuple[memoryview, ...]]:
     """The tables of isotropic that depend on (p, k) alone, for a certified
     prime p and p^k under the cap.
 
@@ -174,25 +172,20 @@ def _orbit_tables(
     multiplication by unit squares: a vector y hitting v gives u*y hitting
     u^2*v, with the same valuations and unit coordinates. orbit[r] labels
     residue r with its orbit (60 orbits at most under the cap, at 2^16, so a
-    label fits in a byte), reps[o] is the least residue of orbit o, and
-    members[o] lists the residues of orbit o in ascending order, as 4-byte
-    integers (every residue under the cap is below 2^31). Each table is
+    label fits in a byte), and members[o] lists the residues of orbit o in
+    ascending order, as 4-byte integers (every residue under the cap is below
+    2^31), so members[o][0] is the least residue of o. Each table is
     read-only, since every caller shares it.
     """
     m = p**k
     unit_squares = {u * u % m for u in range(1, m) if u % p}
     orbit = bytearray(b"\xff") * m  # 0xFF: not labelled yet
-    reps: list[int] = []
+    members: list[array] = []
+    # ascending: a residue not yet labelled is the least of a new orbit
     for r in range(m):
         if orbit[r] == 0xFF:
             for s in unit_squares:
-                orbit[s * r % m] = len(reps)
-            reps.append(r)
-    members = [array("i") for _ in reps]
-    for r in range(m):
+                orbit[s * r % m] = len(members)
+            members.append(array("i"))
         members[orbit[r]].append(r)
-    return (
-        bytes(orbit),
-        tuple(reps),
-        tuple(memoryview(group).toreadonly() for group in members),
-    )
+    return bytes(orbit), tuple(memoryview(group).toreadonly() for group in members)

@@ -50,6 +50,10 @@ def test_base_field_parse_and_str():
         BaseField.parse("C")
     with pytest.raises(ValueError):
         BaseField("Q", 3)
+    with pytest.raises(ValueError, match="^unknown base field kind 'X'$"):
+        BaseField("X")
+    with pytest.raises(ValueError, match="^Qp needs a prime$"):
+        BaseField("Qp")
 
 
 def test_hilbert_fixed_values():
@@ -274,6 +278,10 @@ def test_cohclass_validation():
         CohClass(RATIONALS, 1, 6)  # an integer payload comes in through h1 or JSON only
     with pytest.raises(ValueError):
         CohClass(BaseField.padics(5), 1, 3)  # not a canonical rep at 5
+    not_an_int = "^degree-1 payload over Q_p is an integer square-class rep$"
+    for payload in (True, "5"):
+        with pytest.raises(ValueError, match=not_an_int):
+            CohClass(BaseField.padics(5), 1, payload)
     with pytest.raises(ValueError):
         CohClass(RATIONALS, 2, frozenset({REAL_PLACE}))  # odd support
     with pytest.raises(ValueError):

@@ -98,6 +98,8 @@ def test_symmetric_form_validation():
         SymmetricForm.from_rows([[1, 2], [3, 4]])  # not symmetric
     with pytest.raises(ValueError):
         SymmetricForm.from_rows([[1, 2, 3], [2, 1, 4]])  # not square
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        SymmetricForm(())
     f = SymmetricForm.from_rows([["1/2", 1], [1, 0]])
     assert f.size == 2
 
@@ -243,6 +245,11 @@ def test_json_round_trips():
     assert form_from_json([2, "5"]) == DiagonalForm.of(2, 5)
     b = SymmetricForm.from_rows([[0, 1], [1, 0]])
     assert matrix_from_json(matrix_to_json(b.gram)) == b
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        matrix_from_json([])
+    for doc in ("x", [[1], 2]):
+        with pytest.raises(ValueError, match="^matrix must be a JSON array of arrays$"):
+            matrix_from_json(doc)
     with pytest.raises(ValueError):
         form_from_json("[1,2]")
     with pytest.raises(ValueError):

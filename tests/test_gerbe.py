@@ -193,9 +193,18 @@ def test_coboundaries():
     assert zero_cocycle() in _all_coboundaries()
     for b in _all_coboundaries():
         assert cohomologous(b, zero_cocycle())
+    with pytest.raises(ValueError, match="^cohomologous compares TwoCocycle instances$"):
+        cohomologous(zero_cocycle(), (0,) * 16)
 
 
 def test_default_family_cocycle_is_the_character_cup():
+    # the docstring's i z^{-1}, z^{-1}, i z: coefficient i (odd parity), not -i
+    assert default_path_family() == (
+        identity_morphism(BASE_OBJECT),
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(1), 1, -1),
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(2), 0, -1),
+        GroupoidMorphism(BASE_OBJECT, GroupoidObject(3), 1, 1),
+    )
     obs = obstruction_cocycle(default_path_family())
     assert obs == cup_character_cocycle(CHI_A, CHI_B)
     assert obs(SIGMA_A, SIGMA_B) == 1
@@ -207,7 +216,7 @@ def test_default_family_cocycle_is_the_character_cup():
 def test_all_families_give_one_class():
     families = all_path_families()
     assert len(families) == 8
-    assert default_path_family() in families
+    assert default_path_family() == families[0]
     cocycles = [obstruction_cocycle(f) for f in families]
     cup = cup_character_cocycle(CHI_A, CHI_B)
     for c in cocycles:

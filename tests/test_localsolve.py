@@ -354,12 +354,13 @@ def test_precision_that_is_not_an_int_is_refused(k):
 def test_steps_are_read_off_the_orbit_members(p, k):
     # the members partition Z/p^k by orbit, and over the residues y of
     # valuation j (0 counted at k) the values c*y^2 are one orbit's members
-    orbit, reps, members = _orbit_tables(p, k)
+    orbit, members = _orbit_tables(p, k)
     m = p**k
     assert sorted(r for group in members for r in group) == list(range(m))
     for o, group in enumerate(members):
         assert {orbit[r] for r in group} == {o}
-        assert reps[o] == min(group)
+        assert list(group) == sorted(group)
+        assert group.itemsize == 4
     by_valuation = [[] for _ in range(k + 1)]
     for y in range(m):
         j = 0
@@ -367,7 +368,7 @@ def test_steps_are_read_off_the_orbit_members(p, k):
             j += 1
         by_valuation[j].append(y)
     v2 = 1 if p == 2 else 0
-    for beta, w in product((0, 1), reps):
+    for beta, w in product((0, 1), (group[0] for group in members)):
         c = p**beta * w % m
         groups = _steps(p, k, beta, w)
         assert len(groups) == k + 1

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import hassewitt
 from hassewitt import rationals, solvability
 from hassewitt.forms import DiagonalForm
-from hassewitt.localsolve import represents_one
-from hassewitt.rationals import REAL_PLACE, Place
+from hassewitt.localsolve import isotropic, represents_one
+from hassewitt.rationals import REAL_PLACE, Place, _split
 from hassewitt.solvability import (
     _INT64_GUARD,
     _SEARCH_BUDGET,
@@ -78,6 +79,35 @@ def test_local_routes_agree_at_large_primes(p):
         form = DiagonalForm.of(*entries)
         verdicts.append(represents_one(form.entries, p))
         assert solvable_over_Qp(form, p) == verdicts[-1], entries
+    assert False in verdicts and True in verdicts
+
+
+def springer(entries, p):
+    # Springer (Serre IV.2, Lam VI.1) at an odd prime: E = <entries, -1> is
+    # E_0 + p*E_1 up to squares, with unit entries split by valuation parity,
+    # and E is isotropic over Q_p iff E_0 or E_1 is isotropic over F_p. That
+    # is the residue oracle at k = 1, so no symbol formula enters.
+    halves = ([], [])
+    for c in (*entries, Fraction(-1)):
+        v, u = _split(c, p)
+        halves[v % 2].append(u)
+    return any(h and isotropic(h, p, 1) for h in halves)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 100, 2) if rationals.is_prime(p)])
+def test_local_routes_agree_with_springer_below_100(p):
+    # every odd prime below 100, those from 47 on past the p^3 cap of
+    # represents_one: entries +-(1..3p) * p^(0..2), over 1 or p, of rank 1 to 4
+    rng = random.Random(p)
+    verdicts = []
+    for _ in range(60):
+        entries = tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 3 * p) * p ** rng.randint(0, 2))
+            / rng.choice((1, p))
+            for _ in range(rng.randint(1, 4))
+        )
+        verdicts.append(springer(entries, p))
+        assert solvable_over_Qp(DiagonalForm(entries), p) == verdicts[-1], entries
     assert False in verdicts and True in verdicts
 
 
