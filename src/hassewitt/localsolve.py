@@ -9,8 +9,11 @@ squares; the orbits are found by brute force, not by a formula. What depends
 on (p, k) alone, each residue's orbit label and the members of each orbit,
 is built in one pass once per (p, k) and kept in a small bounded cache. The
 values c*y^2 over the residues y of one valuation are the members of one
-orbit, so each coefficient reads its steps off those lists; the search
-itself runs on every call. Nothing in here consults a symbol formula, and no
+orbit, so each coefficient reads its steps off those lists. The search
+itself runs on every call, but it returns True before the pass over the last
+coefficient when the others already have a zero that lifts: for
+represents_one, whose last coefficient is the appended -1, that is the
+hyperbolic case. Nothing in here consults a symbol formula, and no
 closed-form route consults this module: it is the independent oracle those
 routes are tested against. represents_one is its entry point.
 """
@@ -26,9 +29,9 @@ from .rationals import _require_prime, _split, as_rational
 
 # Each coefficient costs about (number of orbits) * p^k steps on every call,
 # and building the orbit tables costs about p^k once per (p, k): at 43^3,
-# represents_one([3, 43, -5], 43) takes 0.18-0.23 s on a first call, 0.05-0.07
-# s of it the tables, and 0.13-0.18 s on a repeat (Python 3.11.7, a shared
-# Xeon CPU, tracemalloc off).
+# represents_one([3, 43, -5], 43), which returns before its -1 pass, takes
+# 0.11-0.23 s on a first call, 0.07-0.13 s of it the tables, and 0.06-0.11 s
+# on a repeat (Python 3.11.7, a shared Xeon CPU, tracemalloc off).
 # Beyond this cap a call is no longer a desk-scale computation.
 MAX_MODULUS = 100_000
 
@@ -56,7 +59,9 @@ def represents_one(
 
     Same thing as isotropy of the form extended by -1: a nontrivial zero with
     nonzero last coordinate rescales to a solution, and a zero of the original
-    form alone spans a hyperbolic plane, which represents everything.
+    form alone spans a hyperbolic plane, which represents everything. The
+    search takes that second case as it finds it: once the entries alone have
+    a zero that lifts, it returns True without a pass over the -1.
     """
     return isotropic([*coeffs, Fraction(-1)], p, k)
 
@@ -74,7 +79,10 @@ def isotropic(
         scale to a primitive one and reduce, so return False;
       * otherwise raise InconclusivePrecisionError.
 
-    The default precision makes the last case unreachable.
+    The default precision makes the last case unreachable. The coefficients
+    are searched one pass each, in order, and the pass over the last one is
+    skipped when the others already have a zero that lifts: setting its y to
+    0 extends that zero, so the verdict is True either way.
     """
     cs = [as_rational(c) for c in coeffs]
     if not cs:
@@ -113,7 +121,13 @@ def isotropic(
     reach_t = [unreach] * len(members)
     reach_t[orbit[0]] = big  # the empty vector
     reach_prim = [False] * len(members)
-    for beta, w in reduced:
+    last = len(reduced) - 1
+    for i, (beta, w) in enumerate(reduced):
+        # y_last = 0 extends a zero of the others that lifts, and reach_t only
+        # falls from pass to pass (y = 0 is always a step), so the full search
+        # would return True too; for represents_one this is the hyperbolic case
+        if i == last and 2 * reach_t[orbit[0]] < k:
+            return True
         groups = _steps(p, k, beta, w)
         new_t = [unreach] * len(members)
         new_prim = [False] * len(members)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hassewitt
+from hassewitt import localsolve
 from hassewitt.localsolve import (
     MAX_MODULUS,
     InconclusivePrecisionError,
@@ -294,12 +295,43 @@ def outcome(search, coeffs, p, k):
 @example((11, 4), [(Fraction(2, 7), 0)])
 @example((13, 4), [(Fraction(-1), 0), (Fraction(7, 4), 0)])
 @example((13, 4), [(Fraction(5), 1)])
+# the coefficients before the last have a zero that lifts: the early return
+@example((13, 3), [(Fraction(1), 0), (Fraction(-1), 0), (Fraction(3), 0)])
+@example((11, 4), [(Fraction(3), 0), (Fraction(-3), 0), (Fraction(5), 0)])
+@example((2, 5), [(Fraction(2), 0), (Fraction(-2), 0), (Fraction(3), 0)])
+# a primitive zero of [2, -2] that does not lift at 2^3: a refusal
+@example((2, 3), [(Fraction(2), 0), (Fraction(-2), 0), (Fraction(3), 0)])
 @settings(max_examples=150, deadline=None)
 def test_orbit_tables_match_residue_tables(precision, terms):
     # the per-orbit search against the per-residue one, refusals included
     p, k = precision
     coeffs = [c * p**e for c, e in terms]
     assert outcome(isotropic, coeffs, p, k) == outcome(residue_table_isotropic, coeffs, p, k)
+
+
+def test_a_zero_of_the_others_that_lifts_skips_the_last_pass(monkeypatch):
+    # one _steps call per pass; the last pass is skipped only when the
+    # coefficients before it already have a zero that lifts
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return _steps(*args)
+
+    monkeypatch.setattr(localsolve, "_steps", counted)
+
+    def run(search, coeffs, p, k=None):
+        passes.clear()
+        return outcome(search, coeffs, p, k), len(passes)
+
+    # [1, -1] is a hyperbolic plane: the appended -1 is never searched
+    assert run(represents_one, [1, -1, 3], 13) == (True, 3)
+    assert run(represents_one, [3], 13) == (True, 2)
+    assert run(represents_one, [43, 3], 43) == (False, 3)
+    # [2, -2] has the primitive zero (1, 1) mod 2^3, but its Hensel exponent
+    # is v_2(2) + 1 = 2 and 2 * 2 < 3 fails, so it does not lift and every
+    # pass runs
+    assert run(isotropic, [2, -2, 3], 2, 3) == (InconclusivePrecisionError, 3)
 
 
 def test_refusals_leave_the_cache_empty():
